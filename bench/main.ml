@@ -148,26 +148,6 @@ let parallel_cmd =
           Exp_parallel.run ~seed ~scale ~repeats ~out)
       $ seed_arg $ scale_arg 0.01 $ repeats $ out)
 
-let cache_cmd =
-  let repeats =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~docv:"N" ~doc:"Trials per mode (best kept).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_cache.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
-  in
-  cmd "cache"
-    "Cold/warm sweep of the memoization layer; checks cached results \
-     are identical to uncached and writes BENCH_cache.json."
-    Term.(
-      const (fun seed scale repeats out ->
-          Exp_cache.run ~seed ~scale ~repeats ~out)
-      $ seed_arg $ scale_arg 0.01 $ repeats $ out)
-
 let join_cmd =
   let repeats =
     Arg.(
@@ -225,7 +205,6 @@ let () =
         explain_cmd;
         micro_cmd;
         parallel_cmd;
-        cache_cmd;
         join_cmd;
       ]
   in

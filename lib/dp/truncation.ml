@@ -9,21 +9,7 @@ type profile = {
 
 let c_entries = Obs.counter "truncation.entries_profiled"
 
-(* Profiles are pure functions of (analysis, relation): keyed by the
-   analysis id, so a cached Tsens.analyze hit (same id) also reuses the
-   profile, while a re-run DP (fresh id) rebuilds it. The mechanism's
-   SVT probes one profile up to ell times, and bench sweeps re-run the
-   mechanism per trial — this store turns those into one sort. *)
-let profile_store : profile Cache.Store.t =
-  Cache.Store.create ~name:"truncation.profile" ~capacity:64
-    ~weight:(fun p -> 3 * Array.length p.deltas * 8)
-    ()
-
 let profile analysis relation =
-  Cache.Store.find_or_add profile_store
-    (Cache.Key.of_parts
-       [ string_of_int (Tsens.analysis_id analysis); relation ])
-  @@ fun () ->
   Obs.span "truncation.profile" @@ fun () ->
   let rel = Tsens.instance_relation analysis relation in
   let entries =

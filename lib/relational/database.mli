@@ -27,11 +27,6 @@ val update : name:string -> (Relation.t -> Relation.t) -> t -> t
 
 val fold : (string -> Relation.t -> 'a -> 'a) -> t -> 'a -> 'a
 
-val versions : t -> (string * int) list
-(** [(name, Relation.version)] pairs in name order — the database's
-    identity for cache keying. Any update to any member relation changes
-    the list, because relation stamps are unique per constructed value. *)
-
 val total_tuples : t -> Count.t
 (** Sum of bag cardinalities over all relations — the paper's [n]. *)
 

@@ -3,13 +3,11 @@
    [int] id. Logically this is a per-database dictionary; because
    databases are persistent maps that freely share relations (and
    relations flow between databases through joins and truncation), the
-   implementation is one process-wide store — exactly like relation
-   version stamps, which are also process-global for the same reason.
+   implementation is one process-wide store.
 
-   Soundness of the id space is what the cache layer leans on: an id,
-   once assigned, never changes meaning, so a memoized columnar artifact
-   (an encoded relation, an integer-keyed index) can never decode to the
-   wrong value — it can only become unreachable. The one exception is
+   An id, once assigned, never changes meaning, so a memoized columnar
+   artifact (the encoding cached on a relation, an integer-keyed index)
+   can never decode to the wrong value. The one exception is
    [reset], which tears the whole mapping down for tests; it bumps
    [generation], and every encoded artifact records the generation it
    was built under, so stale artifacts are detected and rebuilt instead

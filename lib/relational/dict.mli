@@ -4,9 +4,8 @@
     representation ({!Colrel}) stores relations as arrays of these ids
     and the integer-key join kernels compare and hash nothing else.
     Append-only: an id never changes meaning within a {!generation}, so
-    version-keyed caches of encoded artifacts stay sound by
-    construction. Domain-safe: interning is serialized, decoding is
-    lock-free. *)
+    an encoding memoized on a relation stays valid by construction.
+    Domain-safe: interning is serialized, decoding is lock-free. *)
 
 val intern : Value.t -> int
 (** The id of a value, assigning the next dense id on first sight.

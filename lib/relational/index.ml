@@ -43,9 +43,8 @@ type cols = {
   ccounts : Intkey.Itab.t; (* signature -> summed count *)
   dec : (int, (Tuple.t * Count.t) array) Hashtbl.t;
       (* decoded groups by signature, filled lazily on [lookup] so
-         repeated probes alias one frozen array (the contract cached
-         indexes rely on); mutex-guarded — lookups may come from
-         worker domains. *)
+         repeated probes of a key decode it once; mutex-guarded —
+         lookups may come from worker domains. *)
   dmutex : Mutex.t;
 }
 
@@ -251,23 +250,6 @@ let max_group_count t =
         Count.zero parts
   | Cols c ->
       Intkey.Itab.fold (fun _ cnt acc -> Count.max cnt acc) c.ccounts Count.zero
-
-(* Rough retained size in words, for cache weighting: ~3 words per
-   indexed row plus per-group overhead. Computed without decoding — the
-   row walk touches only table sizes, the columnar one only counters. *)
-let approx_words t =
-  match t.impl with
-  | Rows parts ->
-      let words = ref 0 in
-      Array.iter
-        (fun part ->
-          H.iter
-            (fun _ rows -> words := !words + 8 + (3 * Array.length rows))
-            part.groups)
-        parts;
-      !words
-  | Cols c ->
-      (8 * Intkey.Itab.length c.heads) + (3 * Colrel.nrows c.crel)
 
 let iter_groups f t =
   match t.impl with

@@ -316,9 +316,11 @@ let join_project_all ~group rels =
   | first :: rest ->
       (* Attributes needed downstream of position i: anything in [group]
          or in a relation joined after i. Projecting intermediates onto
-         this set preserves the final grouped counts. *)
+         this set preserves the final grouped counts; the last join
+         groups by [group] itself. *)
       let rec loop acc = function
-        | [] -> Relation.project group acc
+        | [] -> acc
+        | [ r ] -> join_project ~group acc r
         | r :: later ->
             let still_needed =
               List.fold_left

@@ -32,7 +32,7 @@ val join_all : Relation.t list -> Relation.t
 val join_project_all : group:Schema.t -> Relation.t list -> Relation.t
 (** Folds {!natural_join} but projects intermediate results onto the
     attributes still needed (those in [group] or in a yet-unjoined
-    relation), then applies the final group-by. Equivalent to
+    relation); the last join groups by [group] directly. Equivalent to
     [Relation.project group (join_all rels)] with smaller intermediates. *)
 
 val semijoin : Relation.t -> Relation.t -> Relation.t

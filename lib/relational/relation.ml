@@ -1,7 +1,6 @@
 type t = {
   schema : Schema.t;
   rows : (Tuple.t * Count.t) array;
-  version : int;
   enc : Colrel.t option Atomic.t;
       (* Memoized columnar encoding, filled on first use under
          TSENS_STORAGE=columnar. Per-value, not shared across derived
@@ -11,18 +10,7 @@ type t = {
          encodings are correct, one wins. *)
 }
 
-(* Version stamps are allocated from one process-wide counter so that no
-   two constructed relations ever share a stamp. Relations are
-   immutable, so "mutation" (add/remove/import) always builds a new
-   value with a fresh stamp — a cache entry keyed by version can
-   therefore never be stale, only unreachable (and LRU eviction reclaims
-   those). Atomic because relations are also built on worker domains. *)
-let version_counter = Atomic.make 0
-let next_version () = Atomic.fetch_and_add version_counter 1
-let version r = r.version
-
-let mk schema rows =
-  { schema; rows; version = next_version (); enc = Atomic.make None }
+let mk schema rows = { schema; rows; enc = Atomic.make None }
 
 (* ------------------------------------------------------------------ *)
 (* The columnar boundary. [encoded] is the encode direction (memoized on
@@ -50,7 +38,6 @@ let of_encoded c =
   {
     schema = Colrel.schema c;
     rows = Array.map (fun i -> pairs.(i)) order;
-    version = next_version ();
     enc = Atomic.make (Some (Colrel.permute c order));
   }
 
@@ -255,11 +242,10 @@ let equal a b =
        (fun (t1, c1) (t2, c2) -> Tuple.equal t1 t2 && Count.equal c1 c2)
        a.rows b.rows
 
-(* The identity shortcut matters for the cache layer: [Cq.instance]
-   reorders every atom's columns, and without it each call would mint
-   fresh relation values (fresh version stamps) even when the stored
-   schema already matches, defeating version-keyed memoization. Rows are
-   already canonical, so returning [r] unchanged is exact. *)
+(* [Cq.instance] reorders every atom's columns, often to the order they
+   are already stored in. Rows are canonical, so returning [r]
+   unchanged is exact and avoids re-sorting an already canonical
+   relation (it also keeps the memoized encoding). *)
 let reorder target r =
   if Schema.equal target r.schema then r
   else begin

@@ -30,16 +30,6 @@ val empty : Schema.t -> t
 
 val schema : t -> Schema.t
 
-val version : t -> int
-(** Monotonically increasing version stamp, unique per constructed
-    relation in this process. Relations are immutable, so every update
-    ([add], [remove], import, any operator) yields a new value with a
-    strictly larger stamp; two relations with the same stamp are the
-    same value. The cache layer keys memoized artifacts by these stamps,
-    which is why staleness is impossible: a mutated database presents
-    new stamps, and entries for unreachable stamps simply age out. Not
-    part of {!equal}. *)
-
 val rows : t -> (Tuple.t * Count.t) array
 (** The normalized rows, sorted by {!Tuple.compare}. The returned array is
     owned by the relation: callers must not mutate it. *)
@@ -131,9 +121,9 @@ val equal_semantic : t -> t -> bool
 
 val reorder : Schema.t -> t -> t
 (** Reorder columns to match the given schema (same attribute set).
-    Returns the relation itself (same version stamp) when the target
-    equals the stored schema. Raises {!Errors.Schema_error} if the
-    attribute sets differ. *)
+    Returns the relation itself when the target equals the stored
+    schema. Raises {!Errors.Schema_error} if the attribute sets
+    differ. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line table rendering with a [cnt] column. *)

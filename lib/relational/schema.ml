@@ -52,5 +52,3 @@ let restrict ~keep s = Array.of_list (List.filter keep (attrs s))
 
 let pp ppf s =
   Format.fprintf ppf "(%a)" Attr.pp_list (attrs s)
-
-let to_string s = Format.asprintf "%a" pp s

@@ -57,4 +57,3 @@ val restrict : keep:(Attr.t -> bool) -> t -> t
 (** Sub-schema of the attributes satisfying [keep], original order. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

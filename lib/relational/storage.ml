@@ -1,6 +1,6 @@
 (* Storage-engine toggle. Reading TSENS_STORAGE once at load mirrors how
-   lib/exec reads TSENS_JOBS and lib/cache reads TSENS_CACHE; the CLI
-   flips the ref afterwards for --storage. Row is the default and the
+   lib/exec reads TSENS_JOBS; the CLI flips the ref afterwards for
+   --storage. Row is the default and the
    correctness oracle: the columnar path must produce bit-identical
    results (pinned by test_storage's equivalence properties), so the
    toggle only ever changes speed. *)
@@ -12,8 +12,6 @@ let of_string s =
   | "columnar" | "column" | "col" -> Some Columnar
   | "row" | "rows" -> Some Row
   | _ -> None
-
-let to_string = function Row -> "row" | Columnar -> "columnar"
 
 let env_default =
   match Sys.getenv_opt "TSENS_STORAGE" with

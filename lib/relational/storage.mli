@@ -24,5 +24,3 @@ val with_mode : mode -> (unit -> 'a) -> 'a
 val of_string : string -> mode option
 (** Parses ["row"] / ["columnar"] (case-insensitive, with common
     abbreviations); [None] otherwise. *)
-
-val to_string : mode -> string

@@ -7,10 +7,9 @@ let rec plan_atoms = function
   | Leaf r -> [ r ]
   | Join (l, r) -> plan_atoms l @ plan_atoms r
 
-(* Structural fingerprint: unlike the flat atom list, this distinguishes
-   differently-shaped plans over the same atoms — ((a*b)*c) vs (a*(b*c))
-   give different mf bounds, so a cache shared across plans must not
-   collapse them into one key. *)
+(* Structural fingerprint, the mf memo's key for a sub-plan: unlike the
+   flat atom list, this distinguishes differently-shaped plans over the
+   same atoms — ((a*b)*c) vs (a*(b*c)) give different mf bounds. *)
 let rec plan_fingerprint = function
   | Leaf r -> r
   | Join (l, r) ->
@@ -47,58 +46,21 @@ let rec plan_schema cq = function
    matches; each match pins the join attributes, bounding the other
    side's fan-out; the two orientations give two bounds and we keep the
    smaller. The recursion branches four ways per join node, so results
-   are memoized on (sub-plan, attribute set) — sub-plans are identified
-   by their atom list, which is unique in a self-join-free query. *)
+   are memoized on (sub-plan fingerprint, attribute set). *)
 let c_mf_evals = Obs.counter "elastic.mf_evals"
 let c_memo_hits = Obs.counter "elastic.memo_hits"
 
-(* Cross-call mf store. Bounds are pure functions of (plan structure,
-   attribute set, relation contents); contents compress to version
-   stamps, so entries for a mutated database can never be hit — the
-   mutated relation carries a fresh stamp. The per-call Hashtbl below
-   remains as a lock-free L1 in front of this store. *)
-let mf_store : Count.t Cache.Store.t =
-  Cache.Store.create ~name:"elastic.mf" ~capacity:4096
-    ~weight:(fun _ -> 3 * 8)
-    ()
-
-let max_frequency_memo ?versions cq db =
-  (* The version stamps identifying the relation contents behind the
-     bounds. Callers that probe a reordered instance (local_sensitivity)
-     pass the original relations' stamps explicitly — mf is invariant
-     under column order, and the original stamps are the stable ones.
-     Derivation is best-effort: a database missing query relations
-     simply bypasses the shared store so the Leaf lookup still raises
-     the uncached error. *)
-  let versions_key =
-    match versions with
-    | Some v -> Some (Cache.Key.versions v)
-    | None ->
-        if not (Cache.enabled ()) then None
-        else begin
-          match
-            List.map
-              (fun r ->
-                match Database.find_opt r db with
-                | Some rel -> (r, Relation.version rel)
-                | None -> raise Exit)
-              (Cq.relation_names cq)
-          with
-          | v -> Some (Cache.Key.versions v)
-          | exception Exit -> None
-        end
-  in
+let max_frequency_memo cq db =
   let memo = Hashtbl.create 64 in
   let rec mf plan attrs =
-    let fingerprint = plan_fingerprint plan in
-    let key = (fingerprint, Schema.attrs attrs) in
+    let key = (plan_fingerprint plan, Schema.attrs attrs) in
     match Hashtbl.find_opt memo key with
     | Some c ->
         Obs.tick c_memo_hits;
         c
     | None ->
-        let compute () =
-          Obs.tick c_mf_evals;
+        Obs.tick c_mf_evals;
+        let result =
           match plan with
           | Leaf r ->
               let rel = Database.find r db in
@@ -119,15 +81,6 @@ let max_frequency_memo ?versions cq db =
                   (mf l (Schema.inter pinned sl))
               in
               min bound_left bound_right
-        in
-        let result =
-          match versions_key with
-          | None -> compute ()
-          | Some vk ->
-              Cache.Store.find_or_add mf_store
-                (Cache.Key.of_parts
-                   [ fingerprint; Schema.to_string attrs; vk ])
-                compute
         in
         Hashtbl.replace memo key result;
         result
@@ -158,15 +111,6 @@ let relation_sensitivity cq db plan target =
 
 let local_sensitivity ?plans cq db =
   Obs.span "elastic.analyze" @@ fun () ->
-  (* Stamp the key off the caller's relations before [Cq.instance]
-     reorders columns: a reorder mints a fresh relation (fresh stamp)
-     per call, but mf is column-order invariant, so the original stamps
-     are the ones under which repeated calls hit the shared store. *)
-  let versions =
-    List.map
-      (fun r -> (r, Relation.version (Database.find r db)))
-      (Cq.relation_names cq)
-  in
   let db = Database.of_list (Cq.instance cq db) in
   let plan = plan_of_cq ?plans cq in
   (* The memo table is a plain Hashtbl, so it cannot be shared across
@@ -178,13 +122,10 @@ let local_sensitivity ?plans cq db =
     if Exec.jobs () > 1 then
       Exec.parallel_map_list
         (fun r ->
-          ( r,
-            relation_sensitivity_with
-              (max_frequency_memo ~versions cq db)
-              cq plan r ))
+          (r, relation_sensitivity_with (max_frequency_memo cq db) cq plan r))
         (Cq.relation_names cq)
     else
-      let mf = max_frequency_memo ~versions cq db in
+      let mf = max_frequency_memo cq db in
       List.map
         (fun r -> (r, relation_sensitivity_with mf cq plan r))
         (Cq.relation_names cq)

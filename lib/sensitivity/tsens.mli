@@ -30,11 +30,6 @@ type analysis
     probe it many times ({!tuple_sensitivity}, {!top_sensitive},
     {!multiplicity_table}) without re-running the passes. *)
 
-val analysis_id : analysis -> int
-(** Unique identity of the DP run that built this analysis; a cached
-    {!analyze} hit returns the original run's value, same id. Downstream
-    memos (truncation profiles) key on it. *)
-
 val analyze :
   ?selection:selection ->
   ?skip:string list ->
@@ -54,13 +49,7 @@ val analyze :
     witness; asking for their table or tuple sensitivities raises.
 
     Raises {!Errors.Schema_error} if the database does not match the
-    query or a skipped relation is not in it.
-
-    When the cache layer is on ({!Cache.enabled}) and no [selection] is
-    given, the analysis is memoized by (query, skip, plans, relation
-    version stamps): repeated calls on an unchanged database return the
-    same analysis value without re-running the DP. Selections are
-    arbitrary closures and always run uncached. *)
+    query or a skipped relation is not in it. *)
 
 val local_sensitivity :
   ?selection:selection ->

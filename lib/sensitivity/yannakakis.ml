@@ -48,49 +48,16 @@ let plan_of_component component =
 
 let default_plans cq = List.map plan_of_component (Cq.components cq)
 
-(* |Q(D)| is a pure function of (query, plans, relation contents) and
-   the hottest repeated evaluation in the DP benches (Privsql counts the
-   same instance once per trial). Version-keyed like Tsens.analyze; a
-   database missing query relations bypasses the store so the error
-   path stays uncached. *)
-let count_store : Count.t Cache.Store.t =
-  Cache.Store.create ~name:"yannakakis.count" ~capacity:256
-    ~weight:(fun _ -> 3 * 8)
-    ()
-
 let count ?(plans = []) cq db =
-  let compute () =
-    List.fold_left
-      (fun acc component ->
-        let plan =
-          match find_plan plans component with
-          | Some g -> g
-          | None -> plan_of_component component
-        in
-        Count.mul acc (count_ghd plan db))
-      Count.one (Cq.components cq)
-  in
-  if not (Cache.enabled ()) then compute ()
-  else
-    match
-      List.map
-        (fun r ->
-          match Database.find_opt r db with
-          | Some rel -> (r, Relation.version rel)
-          | None -> raise Exit)
-        (Cq.relation_names cq)
-    with
-    | exception Exit -> compute ()
-    | versions ->
-        Cache.Store.find_or_add count_store
-          (Cache.Key.of_parts
-             [
-               Cq.to_string cq;
-               String.concat "&"
-                 (List.map (fun g -> Format.asprintf "%a" Ghd.pp g) plans);
-               Cache.Key.versions versions;
-             ])
-          compute
+  List.fold_left
+    (fun acc component ->
+      let plan =
+        match find_plan plans component with
+        | Some g -> g
+        | None -> plan_of_component component
+      in
+      Count.mul acc (count_ghd plan db))
+    Count.one (Cq.components cq)
 
 let output cq db =
   let rels = List.map snd (Cq.instance cq db) in

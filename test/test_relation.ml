@@ -396,6 +396,34 @@ let prop_join_project_all_consistent =
       let naive = Relation.project group (Join.join_all rels) in
       Relation.equal fused naive)
 
+(* [group] lists its attributes in the reverse of the join order: the
+   result's schema must be [group] itself, in both storage engines. *)
+let test_join_project_all_group_order () =
+  let r =
+    Relation.create ~schema:(schema [ "A"; "B" ])
+      [ (tup [ v 1; v 10 ], 2); (tup [ v 2; v 10 ], 1); (tup [ v 3; v 11 ], 1) ]
+  in
+  let s =
+    Relation.create ~schema:(schema [ "B"; "C" ])
+      [ (tup [ v 10; v 20 ], 3); (tup [ v 11; v 21 ], 1) ]
+  in
+  let t =
+    Relation.create ~schema:(schema [ "C"; "D" ])
+      [ (tup [ v 20; v 30 ], 1); (tup [ v 20; v 31 ], 2); (tup [ v 21; v 30 ], 5) ]
+  in
+  let group = schema [ "D"; "A" ] in
+  List.iter
+    (fun (what, mode) ->
+      Storage.with_mode mode @@ fun () ->
+      let fused = Join.join_project_all ~group [ r; s; t ] in
+      Alcotest.(check bool) (what ^ ": schema is group") true
+        (Schema.equal group (Relation.schema fused));
+      Alcotest.(check bool) (what ^ ": = project o join_all") true
+        (Relation.equal fused (Relation.project group (Join.join_all [ r; s; t ])));
+      Alcotest.(check int) (what ^ ": (31, 1) = 2*3*2") 12
+        (Relation.count_of (tup [ v 31; v 1 ]) fused))
+    [ ("row", Storage.Row); ("columnar", Storage.Columnar) ]
+
 let prop_merge_join_equals_hash_join =
   Tgen.qtest "merge join = hash join" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
@@ -737,6 +765,8 @@ let () =
           prop_count_join_consistent;
           prop_join_commutes_on_counts;
           prop_join_project_all_consistent;
+          Alcotest.test_case "join_project_all keeps group order" `Quick
+            test_join_project_all_group_order;
           prop_merge_join_equals_hash_join;
           prop_merge_join_cross_product;
           prop_semijoin_no_growth;

@@ -1,8 +1,8 @@
 (* The storage layer: row/columnar equivalence properties (the columnar
-   kernels must be bit-identical to the row oracle, at every job count
-   and with the cache on), plus units for the dictionary, the columnar
-   boundary, the integer-key tables and the hash-quality regressions
-   that the columnar radix partitioning leans on. *)
+   kernels must be bit-identical to the row oracle, at every job
+   count), plus units for the dictionary, the columnar boundary, the
+   integer-key tables and the hash-quality regressions that the
+   columnar radix partitioning leans on. *)
 
 open Tsens_relational
 open Tsens_query
@@ -12,11 +12,6 @@ let with_cutoff n f =
   let saved = Exec.sequential_cutoff () in
   Exec.set_sequential_cutoff n;
   Fun.protect ~finally:(fun () -> Exec.set_sequential_cutoff saved) f
-
-let with_cache enabled f =
-  let saved = Cache.enabled () in
-  Cache.set_enabled enabled;
-  Fun.protect ~finally:(fun () -> Cache.set_enabled saved) f
 
 (* Columnar [f] equals row-mode [f] at jobs 1, 2 and 4, with the
    sequential cutoff dropped so tiny QCheck relations still take the
@@ -106,13 +101,6 @@ let print_db db =
 
 let prop_tsens_modes =
   Tgen.qtest ~count:60 "tsens columnar = row" path_db_gen print_db (fun db ->
-      columnar_matches_row result_equal (fun () ->
-          Tsens.local_sensitivity path_cq db))
-
-let prop_tsens_modes_cached =
-  Tgen.qtest ~count:40 "tsens columnar = row with cache" path_db_gen print_db
-    (fun db ->
-      with_cache true @@ fun () ->
       columnar_matches_row result_equal (fun () ->
           Tsens.local_sensitivity path_cq db))
 
@@ -334,7 +322,7 @@ let () =
           prop_project_modes;
         ] );
       ( "sensitivity",
-        [ prop_tsens_modes; prop_tsens_modes_cached; prop_elastic_modes ] );
+        [ prop_tsens_modes; prop_elastic_modes ] );
       ( "dict",
         [
           Alcotest.test_case "intern stable" `Quick test_dict_intern_stable;

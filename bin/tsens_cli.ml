@@ -55,26 +55,6 @@ let jobs_arg =
 
 let apply_jobs = function None -> () | Some n -> Exec.set_jobs n
 
-(* --storage overrides the TSENS_STORAGE default; the two engines are
-   bit-identical, columnar is usually faster on join-heavy queries. *)
-let storage_arg =
-  let modes =
-    [ ("row", Storage.Row); ("columnar", Storage.Columnar);
-      ("col", Storage.Columnar) ]
-  in
-  Arg.(
-    value
-    & opt (some (enum modes)) None
-    & info [ "storage" ] ~docv:"ENGINE"
-        ~doc:
-          "Storage engine for the relational kernels: $(b,row) (the \
-           reference implementation) or $(b,columnar) \
-           (dictionary-encoded columns with integer-key joins; same \
-           results, usually faster). Default: the $(b,TSENS_STORAGE) \
-           environment variable, else $(b,row).")
-
-let apply_storage = function None -> () | Some m -> Storage.set_mode m
-
 let sql_flag =
   Arg.(
     value & flag
@@ -427,11 +407,10 @@ let explain_flag =
     & info [ "explain" ]
         ~doc:"Print intermediate topjoin/botjoin and table sizes.")
 
-let run_sensitivity query data algorithm k tables explain sql jobs storage
-    stats trace =
+let run_sensitivity query data algorithm k tables explain sql jobs stats
+    trace =
   handle_errors (fun () ->
       apply_jobs jobs;
-      apply_storage storage;
       with_observability ~stats ~trace @@ fun () ->
       let cq, constraints, db = prepare ~sql query data in
       let selection = Constraints.selection constraints in
@@ -474,8 +453,8 @@ let sensitivity_cmd =
        ~doc:"Local sensitivity of a counting query over CSV relations.")
     Term.(
       const run_sensitivity $ query_arg $ data_dir_arg $ algorithm_arg $ k_arg
-      $ tables_flag $ explain_flag $ sql_flag $ jobs_arg $ storage_arg
-      $ stats_arg $ trace_flag)
+      $ tables_flag $ explain_flag $ sql_flag $ jobs_arg $ stats_arg
+      $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 (* generate *)
@@ -540,11 +519,9 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* dp *)
 
-let run_dp query data private_relation epsilon ell seed sql jobs storage stats
-    trace =
+let run_dp query data private_relation epsilon ell seed sql jobs stats trace =
   handle_errors (fun () ->
       apply_jobs jobs;
-      apply_storage storage;
       with_observability ~stats ~trace @@ fun () ->
       let cq, constraints, db = prepare ~sql query data in
       let selection = Constraints.selection constraints in
@@ -582,7 +559,7 @@ let dp_cmd =
        ~doc:"Release the counting query's answer with TSensDP (epsilon-DP).")
     Term.(
       const run_dp $ query_arg $ data_dir_arg $ private_rel $ epsilon $ ell
-      $ seed_arg $ sql_flag $ jobs_arg $ storage_arg $ stats_arg $ trace_flag)
+      $ seed_arg $ sql_flag $ jobs_arg $ stats_arg $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 

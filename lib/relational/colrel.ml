@@ -1,42 +1,36 @@
-(* Dictionary-encoded columnar relations: the storage format behind
-   TSENS_STORAGE=columnar. A relation becomes one [int array] per
+(* Dictionary-encoded columnar relations: the storage format of every
+   join and group-by kernel. A relation becomes one [int array] per
    attribute (cells are {!Dict} ids) plus a parallel multiplicity array,
-   so the join and group-by kernels compare, hash and move nothing but
-   immediate ints; values are decoded back to [Value.t] only at the
-   row-relation boundary ({!decode_rows}), i.e. when a result becomes a
-   {!Relation.t} again for reports, CSV export or the row-mode oracle.
+   so the kernels compare, hash and move nothing but immediate ints;
+   values are decoded back to [Value.t] only at the row-relation
+   boundary ({!decode_rows}), i.e. when a result becomes a
+   {!Relation.t} again.
 
-   The row set of a [t] is distinct (one entry per distinct tuple) —
+   The row set of a [t] is distinct (one entry per distinct tuple):
    constructors either start from normalized relation rows or group
-   before building. [generation] records the {!Dict} generation the ids
-   were assigned under; readers must discard a [t] whose generation is
-   stale (the dictionary was reset) instead of decoding through the
-   wrong mapping. *)
+   before building. *)
 
 type t = {
   schema : Schema.t;
   nrows : int;
   cols : int array array; (* arity columns of length nrows, column-major *)
   counts : Count.t array; (* length nrows *)
-  generation : int;
 }
 
 let schema t = t.schema
 let nrows t = t.nrows
 let col t j = t.cols.(j)
-let count t i = t.counts.(i)
 let counts t = t.counts
-let generation t = t.generation
 let arity t = Array.length t.cols
 
 let make ~schema ~cols ~counts =
   let nrows = Array.length counts in
   assert (Array.for_all (fun c -> Array.length c = nrows) cols);
   assert (Array.length cols = Schema.arity schema);
-  { schema; nrows; cols; counts; generation = Dict.generation () }
+  { schema; nrows; cols; counts }
 
-(* Encode rows as handed over (no grouping): the input is either already
-   normalized relation rows or raw pairs that [group_self] merges next. *)
+(* Encode rows as handed over: the input is normalized relation rows,
+   so the row set is already distinct. *)
 let of_pairs schema (pairs : (Tuple.t * Count.t) array) =
   let arity = Schema.arity schema in
   let n = Array.length pairs in
@@ -50,7 +44,7 @@ let of_pairs schema (pairs : (Tuple.t * Count.t) array) =
         done;
         counts.(i) <- cnt
       done);
-  { schema; nrows = n; cols; counts; generation = Dict.generation () }
+  { schema; nrows = n; cols; counts }
 
 let decode_row t i =
   Array.init (arity t) (fun j -> Dict.value t.cols.(j).(i))
@@ -58,85 +52,90 @@ let decode_row t i =
 let decode_rows t =
   Array.init t.nrows (fun i -> (decode_row t i, t.counts.(i)))
 
-(* Rows gathered through a permutation (or any index selection). *)
-let permute t order =
-  let gather col = Array.map (fun i -> col.(i)) order in
+(* ------------------------------------------------------------------ *)
+(* Integer-domain group-by: the γ kernel. A grouper accumulates
+   (key, count) pairs keyed by an int vector of [garity] components,
+   specialized per arity: nullary groups are a single total, unary
+   groups key an Itab by the raw id, wider groups intern through a
+   Keydict with a parallel dense sum buffer. Sums go through
+   {!Count.add_tracked}. *)
+
+type grouper = {
+  garity : int;
+  kd : Intkey.Keydict.t option; (* Some iff garity >= 2 *)
+  tab : Intkey.Itab.t; (* garity = 1: id -> summed count *)
+  sums : Intkey.Ibuf.t; (* garity >= 2: dense key id -> summed count *)
+  mutable nullary : Count.t; (* garity = 0 *)
+  mutable any : bool; (* garity = 0: saw at least one row *)
+}
+
+let grouper ~arity hint =
   {
-    t with
-    nrows = Array.length order;
-    cols = Array.map gather t.cols;
-    counts = Array.map (fun i -> t.counts.(i)) order;
+    garity = arity;
+    kd =
+      (if arity >= 2 then Some (Intkey.Keydict.create ~arity hint) else None);
+    tab = Intkey.Itab.create (if arity = 1 then max 16 hint else 16);
+    sums = Intkey.Ibuf.create (if arity >= 2 then max 16 hint else 8);
+    nullary = Count.zero;
+    any = false;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Integer-domain group-by: the γ kernel. Groups the rows by the listed
-   source columns, sums multiplicities (saturating), and rebuilds dense
-   columns from one representative per group. Non-positive totals are
-   dropped, mirroring the row engine's normalization guard. *)
+let grouper_add g key cnt =
+  if g.garity = 0 then begin
+    g.any <- true;
+    g.nullary <- Count.add_tracked g.nullary cnt
+  end
+  else if g.garity = 1 then Intkey.Itab.add_count g.tab key.(0) cnt
+  else begin
+    let id = Intkey.Keydict.lookup_or_add (Option.get g.kd) key in
+    if id = Intkey.Ibuf.length g.sums then Intkey.Ibuf.push g.sums cnt
+    else
+      Intkey.Ibuf.set g.sums id
+        (Count.add_tracked (Intkey.Ibuf.get g.sums id) cnt)
+  end
+
+let grouper_size g =
+  if g.garity = 0 then if g.any then 1 else 0
+  else if g.garity = 1 then Intkey.Itab.length g.tab
+  else Intkey.Keydict.length (Option.get g.kd)
+
+let of_grouper ~schema g =
+  let n = grouper_size g in
+  if g.garity = 0 then
+    { schema; nrows = n; cols = [||]; counts = Array.make n g.nullary }
+  else if g.garity = 1 then begin
+    let ids = Array.make n 0 and counts = Array.make n 0 in
+    let row = ref 0 in
+    Intkey.Itab.iter
+      (fun id c ->
+        ids.(!row) <- id;
+        counts.(!row) <- c;
+        incr row)
+      g.tab;
+    { schema; nrows = n; cols = [| ids |]; counts }
+  end
+  else
+    let kd = Option.get g.kd in
+    {
+      schema;
+      nrows = n;
+      cols =
+        Array.init g.garity (fun j ->
+            Array.init n (fun id -> Intkey.Keydict.get kd id j));
+      counts = Intkey.Ibuf.to_array g.sums;
+    }
 
 let group_by ~schema positions t =
   let k = Array.length positions in
-  let n = t.nrows in
-  if k = 0 then begin
-    (* γ over no attributes: one nullary row carrying the bag total. *)
-    let total = Array.fold_left Count.add Count.zero t.counts in
-    if n = 0 || total <= 0 then
-      { schema; nrows = 0; cols = [||]; counts = [||];
-        generation = t.generation }
-    else
-      { schema; nrows = 1; cols = [||]; counts = [| total |];
-        generation = t.generation }
-  end
-  else if k = 1 then begin
-    let src = t.cols.(positions.(0)) in
-    let tab = Intkey.Itab.create n in
-    for i = 0 to n - 1 do
-      Intkey.Itab.add_count tab src.(i) t.counts.(i)
+  let srcs = Array.map (fun p -> t.cols.(p)) positions in
+  (* The row count overstates the groups whenever keys repeat, and the
+     grouper grows on demand: start small. *)
+  let g = grouper ~arity:k (min t.nrows 1024) in
+  let key = Array.make k 0 in
+  for i = 0 to t.nrows - 1 do
+    for j = 0 to k - 1 do
+      key.(j) <- srcs.(j).(i)
     done;
-    let ids = Intkey.Ibuf.create (Intkey.Itab.length tab) in
-    let counts = Intkey.Ibuf.create (Intkey.Itab.length tab) in
-    Intkey.Itab.iter
-      (fun id c ->
-        if c > 0 then begin
-          Intkey.Ibuf.push ids id;
-          Intkey.Ibuf.push counts c
-        end)
-      tab;
-    {
-      schema;
-      nrows = Intkey.Ibuf.length ids;
-      cols = [| Intkey.Ibuf.to_array ids |];
-      counts = Intkey.Ibuf.to_array counts;
-      generation = t.generation;
-    }
-  end
-  else begin
-    let srcs = Array.map (fun p -> t.cols.(p)) positions in
-    let kd = Intkey.Keydict.create ~arity:k n in
-    let sums = Intkey.Ibuf.create n in
-    let scratch = Array.make k 0 in
-    for i = 0 to n - 1 do
-      for j = 0 to k - 1 do
-        scratch.(j) <- srcs.(j).(i)
-      done;
-      let g = Intkey.Keydict.lookup_or_add kd scratch in
-      if g = Intkey.Ibuf.length sums then Intkey.Ibuf.push sums t.counts.(i)
-      else Intkey.Ibuf.set sums g (Count.add (Intkey.Ibuf.get sums g) t.counts.(i))
-    done;
-    let groups = Intkey.Keydict.length kd in
-    let keep = Intkey.Ibuf.create groups in
-    for g = 0 to groups - 1 do
-      if Intkey.Ibuf.get sums g > 0 then Intkey.Ibuf.push keep g
-    done;
-    let kept = Intkey.Ibuf.to_array keep in
-    let cols =
-      Array.init k (fun j ->
-          Array.map (fun g -> Intkey.Keydict.get kd g j) kept)
-    in
-    let counts = Array.map (fun g -> Intkey.Ibuf.get sums g) kept in
-    { schema; nrows = Array.length kept; cols; counts;
-      generation = t.generation }
-  end
-
-let group_self t =
-  group_by ~schema:t.schema (Array.init (arity t) Fun.id) t
+    grouper_add g key t.counts.(i)
+  done;
+  of_grouper ~schema g

@@ -1,6 +1,6 @@
 (** Dictionary-encoded columnar relations.
 
-    The storage format behind [TSENS_STORAGE=columnar]: one [int array]
+    The storage format of the join and group-by kernels: one [int array]
     of {!Dict} ids per attribute plus a parallel multiplicity array.
     Invariant: the row set is distinct (one entry per distinct tuple);
     row *order* is unspecified — {!Relation.of_encoded} sorts when a
@@ -13,12 +13,11 @@ val make : schema:Schema.t -> cols:int array array -> counts:Count.t array -> t
 (** Assemble a columnar relation from kernel output. The caller
     guarantees the distinct-rows invariant and positive counts; column
     count must match the schema arity and all arrays must share one
-    length. Stamped with the current {!Dict.generation}. *)
+    length. *)
 
 val of_pairs : Schema.t -> (Tuple.t * Count.t) array -> t
 (** Encode rows verbatim (interning every value, one dictionary lock
-    acquisition for the whole relation). Does not group: feed the result
-    to {!group_self} unless the input rows are already distinct. *)
+    acquisition for the whole relation). The rows must be distinct. *)
 
 val schema : t -> Schema.t
 val nrows : t -> int
@@ -30,23 +29,30 @@ val col : t -> int -> int array
 val counts : t -> Count.t array
 (** Per-row multiplicities. Owned by the relation: do not mutate. *)
 
-val count : t -> int -> Count.t
-
-val generation : t -> int
-(** The {!Dict.generation} the ids were assigned under. Stale encodings
-    (dictionary reset since) must be rebuilt, never decoded. *)
-
-val decode_row : t -> int -> Tuple.t
 val decode_rows : t -> (Tuple.t * Count.t) array
 
-val permute : t -> int array -> t
-(** Rows gathered through an index array (reordering or selection). *)
+(** {1 Group-by}
+
+    The γ kernel in the integer domain: a grouper sums multiplicities
+    per key vector with {!Count.add_tracked}. *)
+
+type grouper
+
+val grouper : arity:int -> int -> grouper
+(** [grouper ~arity hint] for keys of [arity] dictionary ids, sized for
+    about [hint] groups. *)
+
+val grouper_add : grouper -> int array -> Count.t -> unit
+(** Add a count under a key. The key array is caller-owned scratch of
+    length [arity]; its contents are copied. *)
+
+val grouper_size : grouper -> int
+(** Number of distinct keys seen. *)
+
+val of_grouper : schema:Schema.t -> grouper -> t
+(** One row per group; [schema] names the key components in order. *)
 
 val group_by : schema:Schema.t -> int array -> t -> t
-(** [group_by ~schema positions t] is the γ kernel in the integer
-    domain: group rows by the listed source columns, sum multiplicities
-    (saturating), keep one representative per group. [schema] names the
-    grouped columns, in [positions] order. *)
-
-val group_self : t -> t
-(** Merge duplicate rows over all columns — columnar normalization. *)
+(** [group_by ~schema positions t] groups the rows by the listed source
+    columns and sums their multiplicities. [schema] names the grouped
+    columns, in [positions] order. *)

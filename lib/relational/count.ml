@@ -7,6 +7,16 @@ let is_saturated c = c = max_count
 
 let add a b = if a > max_count - b then max_count else a + b
 
+let c_sat = Obs.counter "count.saturations"
+
+(* A sum of two finite counts can saturate even when every row a kernel
+   emitted was finite; ticking at that transition is what makes overflow
+   inside a group-by reach the report. *)
+let add_tracked a b =
+  let sum = add a b in
+  if sum = max_count && a <> max_count && b <> max_count then Obs.tick c_sat;
+  sum
+
 let mul a b =
   if a = 0 || b = 0 then 0
   else if a > max_count / b then max_count

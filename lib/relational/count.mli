@@ -23,6 +23,11 @@ val is_saturated : t -> bool
 val add : t -> t -> t
 (** Saturating addition. *)
 
+val add_tracked : t -> t -> t
+(** [add], ticking the [count.saturations] counter when two finite
+    operands sum to a saturated count. Every group-by and aggregate sum
+    goes through it, so saturation is reported, never silent. *)
+
 val mul : t -> t -> t
 (** Saturating multiplication. *)
 

@@ -102,13 +102,7 @@ let input ?schema ic =
        end
      done
    with End_of_file -> ());
-  let rel = Relation.create ~schema (List.rev !rows) in
-  (* Under columnar storage, encode at load time: import is the natural
-     dictionary-warming point, and the first join against this relation
-     then starts probing immediately instead of paying the intern pass.
-     [Relation.encoded] memoizes, so this is free if never used. *)
-  if Storage.is_columnar () then ignore (Relation.encoded rel : Colrel.t);
-  rel
+  Relation.create ~schema (List.rev !rows)
 
 let read_file ?schema path =
   let ic = open_in path in

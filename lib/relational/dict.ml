@@ -7,11 +7,7 @@
 
    An id, once assigned, never changes meaning, so a memoized columnar
    artifact (the encoding cached on a relation, an integer-keyed index)
-   can never decode to the wrong value. The one exception is
-   [reset], which tears the whole mapping down for tests; it bumps
-   [generation], and every encoded artifact records the generation it
-   was built under, so stale artifacts are detected and rebuilt instead
-   of mis-decoded.
+   can never decode to the wrong value.
 
    Concurrency: interning happens on whichever domain encodes a relation
    (worker domains encode inside join tasks), so the value→id table is
@@ -27,7 +23,6 @@ let mutex = Mutex.create ()
 let table : int Value.Tbl.t = Value.Tbl.create 1024
 let values : Value.t array Atomic.t = Atomic.make (Array.make 256 dummy)
 let count = Atomic.make 0
-let gen = Atomic.make 0
 
 (* Must be called with [mutex] held. *)
 let intern_locked v =
@@ -58,11 +53,3 @@ let with_interner f = Mutex.protect mutex (fun () -> f intern_locked)
 
 let find_opt v = Mutex.protect mutex (fun () -> Value.Tbl.find_opt table v)
 let value id = (Atomic.get values).(id)
-let size () = Atomic.get count
-let generation () = Atomic.get gen
-
-let reset () =
-  Mutex.protect mutex (fun () ->
-      Value.Tbl.reset table;
-      Atomic.set count 0;
-      Atomic.incr gen)

@@ -3,8 +3,8 @@
     Interns {!Value.t}s into dense immutable [int] ids; the columnar
     representation ({!Colrel}) stores relations as arrays of these ids
     and the integer-key join kernels compare and hash nothing else.
-    Append-only: an id never changes meaning within a {!generation}, so
-    an encoding memoized on a relation stays valid by construction.
+    Append-only: an id never changes meaning, so an encoding memoized on
+    a relation stays valid by construction.
     Domain-safe: interning is serialized, decoding is lock-free. *)
 
 val intern : Value.t -> int
@@ -23,17 +23,4 @@ val find_opt : Value.t -> int option
     paths use this to answer "absent" without growing the dictionary. *)
 
 val value : int -> Value.t
-(** Decode an id. Only defined for ids returned by {!intern} in the
-    current {!generation}. *)
-
-val size : unit -> int
-(** Number of interned values; ids live in [[0, size ())]. *)
-
-val generation : unit -> int
-(** Bumped by {!reset}. Encoded artifacts record the generation they
-    were built under and are discarded on mismatch instead of decoding
-    through the wrong mapping. *)
-
-val reset : unit -> unit
-(** Drop every interned value and bump {!generation}. For tests; must
-    not race with concurrent encoding. *)
+(** Decode an id. Only defined for ids returned by {!intern}. *)

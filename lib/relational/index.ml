@@ -1,110 +1,41 @@
-(* Keyed once at build; lookups share the precomputed key positions.
-
-   Groups are frozen as arrays at the end of [build], so join probe
-   loops iterate contiguous memory instead of chasing cons cells.
-
-   Above the parallel cutoff the row build is hash-partitioned: part [p]
-   holds exactly the keys whose [Tuple.bucket] is [p], each part built
-   on its own domain with no shared writes, and probes route by the same
-   bucket function. Within a part, rows are scanned in relation order,
-   so the per-key row order is identical to the single-part build.
-
-   Under TSENS_STORAGE=columnar the index is built in the integer
-   domain instead: the source is encoded once ({!Relation.encoded}), the
-   key collapses to one int signature per row (raw dictionary id for
-   single-column keys, a {!Intkey.Keydict} id otherwise), and the groups
-   are chained row ids in an open-addressing table. A probe interns
-   nothing: each probe value is looked up in the dictionary, and any
-   absent value proves the key matches no row. Group rows decode to
-   tuples only when [lookup] materializes them — [group_count] never
-   touches a tuple. *)
+(* The index is built in the integer domain: the source is encoded once
+   ({!Relation.encoded}), the key collapses to one int signature per row
+   (raw dictionary id for single-column keys, a {!Intkey.Keydict} id
+   otherwise), and the groups are chained row ids in an open-addressing
+   table. A probe interns nothing: each probe value is looked up in the
+   dictionary, and any absent value proves the key matches no row.
+   Row ids of the encoding are positions in the source's [Relation.rows],
+   so [lookup] hands out the relation's own rows — nothing is decoded
+   and [group_count] never touches a tuple. *)
 
 let c_builds = Obs.counter "index.builds"
 let c_probes = Obs.counter "index.probes"
 let c_rows = Obs.counter "index.rows_indexed"
 let g_group = Obs.gauge "index.max_group_rows"
 
-module H = Tuple.Tbl
-
-type part = {
-  groups : (Tuple.t * Count.t) array H.t;
-  counts : Count.t H.t;
-}
-
-(* Columnar impl: [heads]/[next] thread each signature's rows newest
-   first (the same per-group order as the row build, which conses in
-   relation order), [counts] sums multiplicities per signature. *)
-type cols = {
-  crel : Colrel.t; (* encoded source, relation row order *)
-  kpos : int array; (* key column positions in the source *)
-  ckd : Intkey.Keydict.t option; (* Some iff key arity >= 2 *)
-  heads : Intkey.Itab.t; (* signature -> newest row id *)
-  next : int array; (* row id -> older row id with same signature *)
-  ccounts : Intkey.Itab.t; (* signature -> summed count *)
-  dec : (int, (Tuple.t * Count.t) array) Hashtbl.t;
-      (* decoded groups by signature, filled lazily on [lookup] so
-         repeated probes of a key decode it once; mutex-guarded —
-         lookups may come from worker domains. *)
-  dmutex : Mutex.t;
-}
-
-type impl = Rows of part array | Cols of cols
-
 type t = {
   key : Schema.t;
-  source : Schema.t;
-  impl : impl; (* Rows: a key lives in parts.(Tuple.bucket key n) *)
+  rows : (Tuple.t * Count.t) array; (* the source's rows, in encoding order *)
+  kd : Intkey.Keydict.t option; (* Some iff key arity >= 2 *)
+  heads : Intkey.Itab.t; (* signature -> newest row id *)
+  next : int array; (* row id -> older row id with same signature *)
+  counts : Intkey.Itab.t; (* signature -> summed count *)
 }
-
-(* Build one part from the rows whose precomputed bucket matches; [keys]
-   holds the per-row key projections. The temporary cons lists reverse
-   row order, as the frozen arrays' contract requires (newest first,
-   matching the historical list-based index). *)
-let build_part rows keys select size =
-  let acc : (Tuple.t * Count.t) list H.t = H.create size in
-  let counts = H.create size in
-  Array.iteri
-    (fun i row ->
-      if select i then begin
-        let k = keys.(i) in
-        let prev = try H.find acc k with Not_found -> [] in
-        H.replace acc k (row :: prev);
-        let prev_c = try H.find counts k with Not_found -> 0 in
-        H.replace counts k (Count.add prev_c (snd row))
-      end)
-    rows;
-  let groups = H.create (H.length acc) in
-  H.iter (fun k l -> H.replace groups k (Array.of_list l)) acc;
-  { groups; counts }
-
-let build_rows positions rel =
-  let rows = Relation.rows rel in
-  let n = Array.length rows in
-  if not (Exec.pays_off n) then begin
-    let keys = Array.map (fun (tup, _) -> Tuple.project positions tup) rows in
-    [| build_part rows keys (fun _ -> true) (max 16 n) |]
-  end
-  else begin
-    let p = Exec.jobs () in
-    let keys =
-      Exec.parallel_map (fun (tup, _) -> Tuple.project positions tup) rows
-    in
-    let buckets = Exec.parallel_map (fun k -> Tuple.bucket k p) keys in
-    let parts = Array.make p { groups = H.create 0; counts = H.create 0 } in
-    Exec.parallel_for ~chunks:p 0 p (fun pi ->
-        parts.(pi) <-
-          build_part rows keys (fun i -> buckets.(i) = pi) (max 16 (n / p)));
-    parts
-  end
 
 (* Per-row key signature over the encoded source: an arity-0 key puts
    every row in one group (signature 0), arity 1 uses the raw dictionary
    id, wider keys intern through a Keydict. *)
-let build_cols positions rel =
+let build ~key rel =
+  Obs.span "index.build" @@ fun () ->
+  let source = Relation.schema rel in
+  if not (Schema.subset key source) then
+    Errors.schema_errorf "index key %a not a subset of %a" Schema.pp key
+      Schema.pp source;
+  let positions = Schema.positions ~sub:key source in
   let crel = Relation.encoded rel in
   let n = Colrel.nrows crel in
   let k = Array.length positions in
-  let ckd, sig_of =
+  let kd, sig_of =
     if k = 0 then (None, fun _ -> 0)
     else if k = 1 then
       let src = Colrel.col crel positions.(0) in
@@ -123,70 +54,33 @@ let build_cols positions rel =
   in
   let heads = Intkey.Itab.create (max 16 n) in
   let next = Array.make (max 1 n) (-1) in
-  let ccounts = Intkey.Itab.create (max 16 n) in
-  let counts = Colrel.counts crel in
+  let counts = Intkey.Itab.create (max 16 n) in
+  let row_counts = Colrel.counts crel in
   for i = 0 to n - 1 do
     let s = sig_of i in
     next.(i) <- Intkey.Itab.exchange heads s i ~default:(-1);
-    Intkey.Itab.add_count ccounts s counts.(i)
+    Intkey.Itab.add_count counts s row_counts.(i)
   done;
-  {
-    crel;
-    kpos = positions;
-    ckd;
-    heads;
-    next;
-    ccounts;
-    dec = Hashtbl.create 16;
-    dmutex = Mutex.create ();
-  }
-
-let build ~key rel =
-  Obs.span "index.build" @@ fun () ->
-  let source = Relation.schema rel in
-  if not (Schema.subset key source) then
-    Errors.schema_errorf "index key %a not a subset of %a" Schema.pp key
-      Schema.pp source;
-  let positions = Schema.positions ~sub:key source in
-  let impl =
-    if Storage.is_columnar () then Cols (build_cols positions rel)
-    else Rows (build_rows positions rel)
-  in
   if Obs.enabled () then begin
     Obs.tick c_builds;
-    Obs.add c_rows (Relation.distinct_count rel);
-    match impl with
-    | Rows parts ->
-        Array.iter
-          (fun part ->
-            H.iter (fun _ rows -> Obs.observe g_group (Array.length rows))
-              part.groups)
-          parts
-    | Cols c ->
-        Intkey.Itab.iter
-          (fun _ head ->
-            let len = ref 0 and i = ref head in
-            while !i >= 0 do
-              incr len;
-              i := c.next.(!i)
-            done;
-            Obs.observe g_group !len)
-          c.heads
+    Obs.add c_rows n;
+    Intkey.Itab.iter
+      (fun _ head ->
+        let len = ref 0 and i = ref head in
+        while !i >= 0 do
+          incr len;
+          i := next.(!i)
+        done;
+        Obs.observe g_group !len)
+      heads
   end;
-  { key; source; impl }
-
-let key_schema t = t.key
-let source_schema t = t.source
-
-let part_of parts k =
-  if Array.length parts = 1 then parts.(0)
-  else parts.(Tuple.bucket k (Array.length parts))
+  { key; rows = Relation.rows rel; kd; heads; next; counts }
 
 (* Signature of a probe tuple, or -1 when some probe value was never
    interned (then no indexed row can match it). Probing never interns:
    the dictionary only grows when relations are encoded. *)
-let probe_sig c k =
-  let arity = Array.length c.kpos in
+let probe_sig t k =
+  let arity = Schema.arity t.key in
   if arity = 0 then 0
   else if arity = 1 then (
     match Dict.find_opt (Tuple.get k 0) with Some id -> id | None -> -1)
@@ -198,65 +92,32 @@ let probe_sig c k =
       | Some id -> ids.(j) <- id
       | None -> ok := false
     done;
-    if not !ok then -1 else Intkey.Keydict.lookup (Option.get c.ckd) ids
+    if not !ok then -1 else Intkey.Keydict.lookup (Option.get t.kd) ids
   end
 
-let chain_rows c head =
-  let ids = ref [] and i = ref head in
-  (* Collect then decode: chain order is newest-first already. *)
-  while !i >= 0 do
-    ids := !i :: !ids;
-    i := c.next.(!i)
-  done;
-  let ids = Array.of_list (List.rev !ids) in
-  Array.map
-    (fun i -> (Colrel.decode_row c.crel i, Colrel.count c.crel i))
-    ids
-
+(* The chain runs newest (highest row id) first, so filling the result
+   from the back returns the group in relation order. *)
 let lookup t k =
   Obs.tick c_probes;
-  match t.impl with
-  | Rows parts -> (
-      try H.find (part_of parts k).groups k with Not_found -> [||])
-  | Cols c ->
-      let s = probe_sig c k in
-      if s < 0 then [||]
-      else
-        let head = Intkey.Itab.find c.heads s ~default:(-1) in
-        if head < 0 then [||]
-        else
-          Mutex.protect c.dmutex (fun () ->
-              match Hashtbl.find_opt c.dec s with
-              | Some rows -> rows
-              | None ->
-                  let rows = chain_rows c head in
-                  Hashtbl.add c.dec s rows;
-                  rows)
+  let s = probe_sig t k in
+  let head = if s < 0 then -1 else Intkey.Itab.find t.heads s ~default:(-1) in
+  let len = ref 0 and i = ref head in
+  while !i >= 0 do
+    incr len;
+    i := t.next.(!i)
+  done;
+  let out = Array.make !len ([||], Count.zero) in
+  let i = ref head in
+  for slot = !len - 1 downto 0 do
+    out.(slot) <- t.rows.(!i);
+    i := t.next.(!i)
+  done;
+  out
 
 let group_count t k =
   Obs.tick c_probes;
-  match t.impl with
-  | Rows parts -> (
-      try H.find (part_of parts k).counts k with Not_found -> 0)
-  | Cols c ->
-      let s = probe_sig c k in
-      if s < 0 then 0 else Intkey.Itab.find c.ccounts s ~default:0
+  let s = probe_sig t k in
+  if s < 0 then 0 else Intkey.Itab.find t.counts s ~default:0
 
 let max_group_count t =
-  match t.impl with
-  | Rows parts ->
-      Array.fold_left
-        (fun acc part -> H.fold (fun _ c acc -> Count.max c acc) part.counts acc)
-        Count.zero parts
-  | Cols c ->
-      Intkey.Itab.fold (fun _ cnt acc -> Count.max cnt acc) c.ccounts Count.zero
-
-let iter_groups f t =
-  match t.impl with
-  | Rows parts -> Array.iter (fun part -> H.iter f part.groups) parts
-  | Cols c ->
-      Intkey.Itab.iter
-        (fun _ head ->
-          let rows = chain_rows c head in
-          f (Tuple.project c.kpos (fst rows.(0))) rows)
-        c.heads
+  Intkey.Itab.fold (fun _ cnt acc -> Count.max cnt acc) t.counts Count.zero

@@ -124,7 +124,7 @@ module Itab = struct
   (* Saturating count accumulation (Count.t is an int). *)
   let add_count t k (c : Count.t) =
     let s = slot t k in
-    if t.keys.(s) = k then t.vals.(s) <- Count.add t.vals.(s) c
+    if t.keys.(s) = k then t.vals.(s) <- Count.add_tracked t.vals.(s) c
     else insert_at t s k c
 
   let length t = t.count

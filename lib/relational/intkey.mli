@@ -38,7 +38,7 @@ module Itab : sig
       the chained row lists of the hash-join build side. *)
 
   val add_count : t -> int -> Count.t -> unit
-  (** Accumulate a multiplicity under [k] with saturating addition. *)
+  (** Accumulate a multiplicity under [k] with {!Count.add_tracked}. *)
 
   val length : t -> int
   val iter : (int -> int -> unit) -> t -> unit

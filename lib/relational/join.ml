@@ -1,205 +1,201 @@
-(* All operators hash-partition the right side on the common attributes
-   and stream the left side through it. The combined tuple layout is
-   always: left tuple ++ (right tuple minus common attributes), matching
-   [Schema.union left right].
+(* Bag-semantics joins over the dictionary-encoded storage. Both sides
+   are encoded once ({!Relation.encoded}, memoized), join keys become
+   single ints — the raw dictionary id for one-column keys, a dense
+   {!Intkey.Keydict} id for multi-column keys (built over the right
+   side, probed by the left; a probe miss is a guaranteed non-match) —
+   and the build/probe loops run over open-addressing int tables with
+   no boxed value in sight. Tuples reappear only when a result decodes
+   back through {!Relation.of_encoded}.
 
-   Above the parallel cutoff the binary operators switch to a
-   partition-parallel plan: both sides are hash-partitioned on the
-   join-key hash into one bucket per pool domain, bucket k of the left
-   joins bucket k of the right on its own domain (equal keys always meet
-   — they share a hash), and the per-partition results merge in bucket
-   order at the barrier. Saturating count addition is associative and
-   commutative and [Relation.create] canonicalizes, so outputs are
-   bit-identical to the sequential plan at any job count. *)
+   Above the parallel cutoff [natural_join] and [count_join]
+   radix-partition both sides by the mixed key id (equal keys land in
+   the same partition by construction) and run one partition per pool
+   task; per-partition results merge in partition order. Saturating
+   count sums are order-free and every output is canonicalized by
+   sorting, so results are bit-identical at any job count. *)
 
 let c_rows = Obs.counter "join.rows_emitted"
 let c_sat = Obs.counter "count.saturations"
 let g_groups = Obs.gauge "join.max_group_table_rows"
 
-(* Emitting is the per-row hot path: only interpose on it when the sink
-   is live, so the disabled cost stays at the operators' entry branches. *)
-let instrument_emit emit =
-  if not (Obs.enabled ()) then emit
-  else fun tup cnt ->
-    Obs.tick c_rows;
-    if Count.is_saturated cnt then Obs.tick c_sat;
-    emit tup cnt
-
-(* Aggregation can saturate even when every emitted row is finite: a
-   per-group sum crosses max_count inside the grouping table, which the
-   emit instrumentation above never sees. Tick the saturation counter at
-   the transition (both operands finite, sum saturated) so overflow that
-   happens in group-by — not in emission — still reaches the report. *)
-let add_tracked prev cnt =
-  let sum = Count.add prev cnt in
-  if
-    Obs.enabled ()
-    && Count.is_saturated sum
-    && not (Count.is_saturated prev)
-    && not (Count.is_saturated cnt)
-  then Obs.tick c_sat;
-  sum
-
 type plan = {
   combined : Schema.t;
-  common_left : int array; (* positions of common attrs in the left schema *)
-  right_extra : int array; (* positions of right-only attrs in the right schema *)
-  common_right : Schema.t; (* common attrs, left order; index key and probe agree *)
+  ca : Colrel.t;
+  cb : Colrel.t;
+  lsig : int array; (* per left row: key id, -1 = cannot match *)
+  rsig : int array; (* per right row: key id, always >= 0 *)
+  right_extra : int array; (* right-side column indexes not in the key *)
 }
 
-let make_plan left right =
-  let common = Schema.inter left right in
-  let combined = Schema.union left right in
-  let right_only = Schema.diff right left in
-  {
-    combined;
-    common_left = Schema.positions ~sub:common left;
-    right_extra = Schema.positions ~sub:right_only right;
-    common_right = common;
-  }
+(* Key signatures for both sides. One-column keys use raw dictionary ids
+   (the column arrays themselves — zero work); wider keys intern the
+   right side's key vectors into dense ids and look the left side's up
+   (absent = no partner anywhere on the right). A schema-disjoint pair
+   degenerates to the counted cross product via the constant signature
+   0. *)
+let make_plan a b =
+  let sa = Relation.schema a and sb = Relation.schema b in
+  let common = Schema.inter sa sb in
+  let combined = Schema.union sa sb in
+  let ca = Relation.encoded a and cb = Relation.encoded b in
+  let lpos = Schema.positions ~sub:common sa in
+  let rpos = Schema.positions ~sub:common sb in
+  let right_extra = Schema.positions ~sub:(Schema.diff sb sa) sb in
+  let k = Array.length lpos in
+  let lsig, rsig =
+    if k = 0 then
+      (Array.make (Colrel.nrows ca) 0, Array.make (Colrel.nrows cb) 0)
+    else if k = 1 then (Colrel.col ca lpos.(0), Colrel.col cb rpos.(0))
+    else begin
+      let kd = Intkey.Keydict.create ~arity:k (Colrel.nrows cb) in
+      let scratch = Array.make k 0 in
+      let sigs lookup c pos =
+        let srcs = Array.map (Colrel.col c) pos in
+        Array.init (Colrel.nrows c) (fun i ->
+            for j = 0 to k - 1 do
+              scratch.(j) <- srcs.(j).(i)
+            done;
+            lookup kd scratch)
+      in
+      let rsig = sigs Intkey.Keydict.lookup_or_add cb rpos in
+      let lsig = sigs Intkey.Keydict.lookup ca lpos in
+      (lsig, rsig)
+    end
+  in
+  { combined; ca; cb; lsig; rsig; right_extra }
 
-(* The index key is the common schema *in left order* so that probing with
-   a left-side projection matches. *)
-let build_right_index plan right_rel =
-  Index.build ~key:plan.common_right right_rel
+(* Radix routing: partition of a key signature. Signatures are dense
+   sequential ids, so they go through the avalanche mixer before the
+   modulo. Unmatchable left rows (signature -1) route to -1: no
+   partition touches them. *)
+let partition_of parts s = if s < 0 then -1 else Intkey.mix s mod parts
 
-let combine plan left_tup right_tup =
-  Tuple.concat left_tup (Tuple.project plan.right_extra right_tup)
+let partition_ids parts sigs =
+  if Array.length sigs >= 4096 then
+    Exec.parallel_map (partition_of parts) sigs
+  else Array.map (partition_of parts) sigs
 
-let stream_join a b emit =
-  Obs.span "join.stream" @@ fun () ->
-  let emit = instrument_emit emit in
-  let plan = make_plan (Relation.schema a) (Relation.schema b) in
-  let idx = build_right_index plan b in
-  Relation.iter
-    (fun ltup lcnt ->
-      let key = Tuple.project plan.common_left ltup in
-      Array.iter
-        (fun (rtup, rcnt) ->
-          emit (combine plan ltup rtup) (Count.mul lcnt rcnt))
-        (Index.lookup idx key))
-    a;
-  plan.combined
+let all _ = true
 
-module H = Tuple.Tbl
+(* Run [kernel lselect rselect] over the whole input below the parallel
+   cutoff, else once per partition on the pool (results in partition
+   order). The select predicates restrict each side to the rows the
+   call owns; unmatchable left rows are never selected. *)
+let partitioned a b plan kernel =
+  if not (Exec.pays_off (Relation.distinct_count a + Relation.distinct_count b))
+  then [ kernel (fun i -> plan.lsig.(i) >= 0) all ]
+  else begin
+    let parts = Exec.jobs () in
+    let lpart = partition_ids parts plan.lsig in
+    let rpart = partition_ids parts plan.rsig in
+    let out = Array.make parts None in
+    Exec.parallel_for ~chunks:parts 0 parts (fun p ->
+        out.(p) <- Some (kernel (fun i -> lpart.(i) = p) (fun j -> rpart.(j) = p)));
+    List.filter_map Fun.id (Array.to_list out)
+  end
 
 (* ------------------------------------------------------------------ *)
-(* The partition-parallel core. [emit_partition] receives one partition
-   id plus the per-partition probe driver and returns that partition's
-   result; results are combined in partition order by the caller. The
-   driver builds a local hash table of the right bucket and streams the
-   left bucket through it — the same plan as [stream_join], confined to
-   one bucket. *)
+(* count_join: |a ⋈ b| without materializing anything. Per key id the
+   right side contributes a summed multiplicity; each left row adds
+   count(left) * that sum. *)
 
-let partitioned plan a b emit_partition =
-  let parts = Exec.jobs () in
-  let project_keys positions rel =
-    let rows = Relation.rows rel in
-    let keys =
-      Exec.parallel_map (fun (tup, _) -> Tuple.project positions tup) rows
-    in
-    let buckets = Exec.parallel_map (fun k -> Tuple.bucket k parts) keys in
-    (rows, keys, buckets)
-  in
-  let right_positions =
-    Schema.positions ~sub:plan.common_right (Relation.schema b)
-  in
-  let left = project_keys plan.common_left a in
-  let right = project_keys right_positions b in
-  let results = Array.make parts None in
-  Exec.parallel_for ~chunks:parts 0 parts (fun p ->
-      let drive emit =
-        let rrows, rkeys, rbuckets = right in
-        let index : (Tuple.t * Count.t) list H.t = H.create 64 in
-        Array.iteri
-          (fun j row ->
-            if rbuckets.(j) = p then begin
-              let prev = try H.find index rkeys.(j) with Not_found -> [] in
-              H.replace index rkeys.(j) (row :: prev)
-            end)
-          rrows;
-        let lrows, lkeys, lbuckets = left in
-        Array.iteri
-          (fun i (ltup, lcnt) ->
-            if lbuckets.(i) = p then
-              match H.find_opt index lkeys.(i) with
-              | None -> ()
-              | Some group ->
-                  List.iter
-                    (fun (rtup, rcnt) ->
-                      emit (combine plan ltup rtup) (Count.mul lcnt rcnt))
-                    group
-          )
-          lrows
-      in
-      results.(p) <- Some (emit_partition p drive));
-  Array.to_list results |> List.filter_map Fun.id
+let count_partition plan lselect rselect =
+  let nb = Colrel.nrows plan.cb and na = Colrel.nrows plan.ca in
+  let bcounts = Colrel.counts plan.cb and acounts = Colrel.counts plan.ca in
+  let tab = Intkey.Itab.create (max 16 nb) in
+  for j = 0 to nb - 1 do
+    if rselect j then Intkey.Itab.add_count tab plan.rsig.(j) bcounts.(j)
+  done;
+  let total = ref Count.zero in
+  for i = 0 to na - 1 do
+    if lselect i then begin
+      let group = Intkey.Itab.find tab plan.lsig.(i) ~default:0 in
+      if group > 0 then
+        total := Count.add_tracked !total (Count.mul acounts.(i) group)
+    end
+  done;
+  !total
 
-(* Total distinct rows on both sides: the size the parallel cutoff is
-   judged against. *)
-let pair_size a b = Relation.distinct_count a + Relation.distinct_count b
+let count_join a b =
+  Obs.span "join.count" @@ fun () ->
+  let plan = make_plan a b in
+  Obs.span "join.stream" @@ fun () ->
+  partitioned a b plan (count_partition plan)
+  |> List.fold_left Count.add_tracked Count.zero
 
-(* Each binary operator dispatches on the storage mode up front: the
-   columnar kernels (Coljoin) run the same logical plan on dictionary
-   ids and are bit-identical to the row implementations below, which
-   stay as the always-available oracle (and the default). *)
+(* ------------------------------------------------------------------ *)
+(* natural_join: materialize the combined rows. Every output row embeds
+   its full left row, and two right partners of one left row that agreed
+   on the key and every extra column would be the same (distinct) right
+   row — so outputs are distinct, across partitions too, and go straight
+   through Relation.of_encoded with no grouping pass. *)
 
-let natural_join_rows a b =
-  if not (Exec.pays_off (pair_size a b)) then begin
-    let acc = ref [] in
-    let combined = stream_join a b (fun tup cnt -> acc := (tup, cnt) :: !acc) in
-    Relation.create ~schema:combined (List.rev !acc)
-  end
-  else
-    Obs.span "join.partition" @@ fun () ->
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
-    let per_partition =
-      partitioned plan a b (fun _p drive ->
-          let acc = ref [] in
-          let emit = instrument_emit (fun tup cnt -> acc := (tup, cnt) :: !acc) in
-          drive emit;
-          List.rev !acc)
-    in
-    Relation.create ~schema:plan.combined (List.concat per_partition)
+(* Chained right-row index for one partition: [heads] maps a key id to
+   the most recently seen right row, [next] threads the rest. Probing
+   walks newest-first; output order is canonicalized later, so chain
+   order is irrelevant. *)
+let build_chains plan rselect =
+  let nb = Colrel.nrows plan.cb in
+  let heads = Intkey.Itab.create (max 16 nb) in
+  let next = Array.make (max 1 nb) (-1) in
+  for j = 0 to nb - 1 do
+    if rselect j then
+      next.(j) <- Intkey.Itab.exchange heads plan.rsig.(j) j ~default:(-1)
+  done;
+  (heads, next)
+
+let join_partition plan lselect rselect =
+  let na = Colrel.nrows plan.ca in
+  let acounts = Colrel.counts plan.ca and bcounts = Colrel.counts plan.cb in
+  let la = Colrel.arity plan.ca in
+  let ne = Array.length plan.right_extra in
+  let heads, next = build_chains plan rselect in
+  let acols = Array.init la (Colrel.col plan.ca) in
+  let ecols = Array.map (Colrel.col plan.cb) plan.right_extra in
+  let out = Array.init (la + ne) (fun _ -> Intkey.Ibuf.create 64) in
+  let counts = Intkey.Ibuf.create 64 in
+  let live = Obs.enabled () in
+  for i = 0 to na - 1 do
+    if lselect i then begin
+      let j = ref (Intkey.Itab.find heads plan.lsig.(i) ~default:(-1)) in
+      while !j >= 0 do
+        for jc = 0 to la - 1 do
+          Intkey.Ibuf.push out.(jc) acols.(jc).(i)
+        done;
+        for jc = 0 to ne - 1 do
+          Intkey.Ibuf.push out.(la + jc) ecols.(jc).(!j)
+        done;
+        let cnt = Count.mul acounts.(i) bcounts.(!j) in
+        if live then begin
+          Obs.tick c_rows;
+          if Count.is_saturated cnt then Obs.tick c_sat
+        end;
+        Intkey.Ibuf.push counts cnt;
+        j := next.(!j)
+      done
+    end
+  done;
+  (Array.map Intkey.Ibuf.to_array out, Intkey.Ibuf.to_array counts)
 
 let natural_join a b =
-  if Storage.is_columnar () then
-    Obs.span "join.columnar" @@ fun () -> Coljoin.natural_join a b
-  else natural_join_rows a b
+  Obs.span "join.stream" @@ fun () ->
+  let plan = make_plan a b in
+  let cols, counts =
+    match partitioned a b plan (join_partition plan) with
+    | [ piece ] -> piece
+    | pieces ->
+        ( Array.init (Schema.arity plan.combined) (fun jc ->
+              Array.concat (List.map (fun (cs, _) -> cs.(jc)) pieces)),
+          Array.concat (List.map snd pieces) )
+  in
+  Relation.of_encoded (Colrel.make ~schema:plan.combined ~cols ~counts)
 
-let join_project_rows ~group a b positions =
-  if not (Exec.pays_off (pair_size a b)) then begin
-    let table = H.create 1024 in
-    let emit tup cnt =
-      let key = Tuple.project positions tup in
-      let prev = try H.find table key with Not_found -> 0 in
-      H.replace table key (add_tracked prev cnt)
-    in
-    let (_ : Schema.t) = stream_join a b emit in
-    Obs.observe g_groups (H.length table);
-    Relation.create ~schema:group (H.fold (fun t c acc -> (t, c) :: acc) table [])
-  end
-  else begin
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
-    (* Group keys need not contain the join key, so one group can span
-       partitions: each partition aggregates its own table and
-       [Relation.create]'s normalization sums the spans — order-free
-       because saturating addition is. The gauge consequently reports
-       the largest per-partition table. *)
-    let per_partition =
-      partitioned plan a b (fun _p drive ->
-          let table = H.create 1024 in
-          let grouping tup cnt =
-            let key = Tuple.project positions tup in
-            let prev = try H.find table key with Not_found -> 0 in
-            H.replace table key (add_tracked prev cnt)
-          in
-          drive (instrument_emit grouping);
-          Obs.observe g_groups (H.length table);
-          H.fold (fun t c acc -> (t, c) :: acc) table [])
-    in
-    Relation.create ~schema:group (List.concat per_partition)
-  end
+(* ------------------------------------------------------------------ *)
+(* join_project: the fused γ_group(a ⋈ b) — matches stream into an
+   integer group-by keyed on the [group] columns of the (never
+   materialized) combined row. It runs sequentially at every job count:
+   group keys need not contain the join key, so a partition-parallel
+   plan would hold one group table per partition plus a merged copy. *)
 
 let join_project ~group a b =
   Obs.span "join.project" @@ fun () ->
@@ -207,68 +203,48 @@ let join_project ~group a b =
   if not (Schema.subset group combined) then
     Errors.schema_errorf "join_project: %a not a subset of joined schema %a"
       Schema.pp group Schema.pp combined;
-  if Storage.is_columnar () then Coljoin.join_project ~group a b
-  else
-    let positions = Schema.positions ~sub:group combined in
-    join_project_rows ~group a b positions
+  let plan = make_plan a b in
+  (* Each group column reads either the left row or the matched right
+     row's extra columns. *)
+  let la = Colrel.arity plan.ca in
+  let gsrcs =
+    Array.map
+      (fun p ->
+        if p < la then `Left (Colrel.col plan.ca p)
+        else `Right (Colrel.col plan.cb plan.right_extra.(p - la)))
+      (Schema.positions ~sub:group combined)
+  in
+  let g = Colrel.grouper ~arity:(Array.length gsrcs) 1024 in
+  let key = Array.make (Array.length gsrcs) 0 in
+  let acounts = Colrel.counts plan.ca and bcounts = Colrel.counts plan.cb in
+  let live = Obs.enabled () in
+  Obs.span "join.stream" (fun () ->
+      let heads, next = build_chains plan all in
+      for i = 0 to Colrel.nrows plan.ca - 1 do
+        if plan.lsig.(i) >= 0 then begin
+          let j = ref (Intkey.Itab.find heads plan.lsig.(i) ~default:(-1)) in
+          while !j >= 0 do
+            Array.iteri
+              (fun jc src ->
+                key.(jc) <-
+                  (match src with `Left col -> col.(i) | `Right col -> col.(!j)))
+              gsrcs;
+            let cnt = Count.mul acounts.(i) bcounts.(!j) in
+            if live then begin
+              Obs.tick c_rows;
+              if Count.is_saturated cnt then Obs.tick c_sat
+            end;
+            Colrel.grouper_add g key cnt;
+            j := next.(!j)
+          done
+        end
+      done);
+  Obs.observe g_groups (Colrel.grouper_size g);
+  Relation.of_encoded (Colrel.of_grouper ~schema:group g)
 
 let join_all = function
   | [] -> invalid_arg "Join.join_all: empty list"
   | r :: rest -> List.fold_left natural_join r rest
-
-(* Sort-merge: both sides keyed by their common-attribute projection and
-   sorted; equal-key runs pair up as block cross products. *)
-let merge_join a b =
-  Obs.span "join.merge" @@ fun () ->
-  let plan = make_plan (Relation.schema a) (Relation.schema b) in
-  let keyed rel positions =
-    let rows = Relation.rows rel in
-    let arr =
-      Array.map (fun (tup, cnt) -> (Tuple.project positions tup, tup, cnt)) rows
-    in
-    Array.sort (fun (k1, t1, _) (k2, t2, _) ->
-        match Tuple.compare k1 k2 with 0 -> Tuple.compare t1 t2 | c -> c)
-      arr;
-    arr
-  in
-  let right_positions =
-    Schema.positions ~sub:plan.common_right (Relation.schema b)
-  in
-  let left = keyed a plan.common_left in
-  let right = keyed b right_positions in
-  let key (k, _, _) = k in
-  (* End of the run of equal keys starting at [i]. *)
-  let run_end arr i =
-    let k = key arr.(i) in
-    let j = ref (i + 1) in
-    while !j < Array.length arr && Tuple.equal (key arr.(!j)) k do
-      incr j
-    done;
-    !j
-  in
-  let out = ref [] in
-  (* Instrument each row as it is emitted rather than re-walking the
-     accumulated output afterwards. *)
-  let emit = instrument_emit (fun tup cnt -> out := (tup, cnt) :: !out) in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length left && !j < Array.length right do
-    let c = Tuple.compare (key left.(!i)) (key right.(!j)) in
-    if c < 0 then i := run_end left !i
-    else if c > 0 then j := run_end right !j
-    else begin
-      let i_end = run_end left !i and j_end = run_end right !j in
-      for li = !i to i_end - 1 do
-        let _, ltup, lcnt = left.(li) in
-        for rj = !j to j_end - 1 do
-          let _, rtup, rcnt = right.(rj) in
-          emit (combine plan ltup rtup) (Count.mul lcnt rcnt)
-        done
-      done;
-      i := i_end;
-      j := j_end
-    end
-  done;
-  Relation.create ~schema:plan.combined !out
 
 (* Greedy connected ordering: start from the widest relation and keep
    picking a relation sharing attributes with the accumulated schema
@@ -345,28 +321,3 @@ let semijoin a b =
       Index.group_count idx (Tuple.project positions tup) > 0)
     a
 
-let count_join a b =
-  Obs.span "join.count" @@ fun () ->
-  if Storage.is_columnar () then Coljoin.count_join a b
-  else if not (Exec.pays_off (pair_size a b)) then begin
-    let total = ref Count.zero in
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
-    let idx = build_right_index plan b in
-    Relation.iter
-      (fun ltup lcnt ->
-        let key = Tuple.project plan.common_left ltup in
-        let group = Index.group_count idx key in
-        total := add_tracked !total (Count.mul lcnt group))
-      a;
-    !total
-  end
-  else begin
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
-    let per_partition =
-      partitioned plan a b (fun _p drive ->
-          let total = ref Count.zero in
-          drive (fun _tup cnt -> total := add_tracked !total cnt);
-          !total)
-    in
-    List.fold_left add_tracked Count.zero per_partition
-  end

@@ -2,103 +2,57 @@ type t = {
   schema : Schema.t;
   rows : (Tuple.t * Count.t) array;
   enc : Colrel.t option Atomic.t;
-      (* Memoized columnar encoding, filled on first use under
-         TSENS_STORAGE=columnar. Per-value, not shared across derived
-         relations (rename/scale/filter change what the encoding would
-         be), so every constructor mints a fresh cell. Atomic because
-         joins encode on worker domains; the race is benign — both
-         encodings are correct, one wins. *)
+      (* Memoized columnar encoding, filled on first use by a kernel.
+         Per-value, not shared across derived relations (rename/scale/
+         filter change what the encoding would be), so every constructor
+         mints a fresh cell. Atomic because joins encode on worker
+         domains; the race is benign — both encodings are correct, one
+         wins. *)
 }
 
 let mk schema rows = { schema; rows; enc = Atomic.make None }
 
+let sort_rows rows = Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows
+
 (* ------------------------------------------------------------------ *)
-(* The columnar boundary. [encoded] is the encode direction (memoized on
-   the relation, rebuilt if the dictionary generation moved);
-   [of_encoded] is the decode direction for kernel outputs, which are
-   distinct but unsorted — sorting by [Tuple.compare] is the only
-   canonicalization they still need, and the sorted permutation is
-   applied to the columns too so the result is born encoded (a chain of
-   columnar joins never re-interns). *)
+(* The columnar boundary. [encoded] is the encode direction, memoized on
+   the relation; its rows are [r.rows] in order, which is what lets
+   {!Index.lookup} hand out the relation's own rows. [of_encoded] is the
+   decode direction for kernel outputs, which are distinct but unsorted:
+   sorting by [Tuple.compare] is the only canonicalization they need. *)
 
 let encoded r =
   match Atomic.get r.enc with
-  | Some c when Colrel.generation c = Dict.generation () -> c
-  | Some _ | None ->
+  | Some c -> c
+  | None ->
       let c = Colrel.of_pairs r.schema r.rows in
       Atomic.set r.enc (Some c);
       c
 
 let of_encoded c =
-  let pairs = Colrel.decode_rows c in
-  let order = Array.init (Array.length pairs) Fun.id in
-  Array.sort
-    (fun i j -> Tuple.compare (fst pairs.(i)) (fst pairs.(j)))
-    order;
-  {
-    schema = Colrel.schema c;
-    rows = Array.map (fun i -> pairs.(i)) order;
-    enc = Atomic.make (Some (Colrel.permute c order));
-  }
+  let rows = Colrel.decode_rows c in
+  sort_rows rows;
+  mk (Colrel.schema c) rows
 
-module T = Tuple.Tbl
-
-(* Group an array of (tuple, count) pairs: sum multiplicities per
-   distinct tuple, drop non-positive totals, sort. This is the merge
-   half of the canonical form all constructors funnel through.
-
-   Above the cutoff the pairs are hash-partitioned and each partition is
-   grouped on its own domain: a tuple's partition is a function of its
-   hash, so no key spans two tables, and saturating addition is
-   associative and commutative, so per-partition sums equal the
-   sequential ones — the sorted result is bit-identical to jobs=1. *)
-let group_into table pairs lo hi keep =
-  for i = lo to hi - 1 do
-    if keep i then begin
-      let tup, cnt = pairs.(i) in
-      let prev = try T.find table tup with Not_found -> 0 in
-      T.replace table tup (Count.add prev cnt)
+(* Merge duplicate tuples and sort: the canonical form all constructors
+   funnel through. Sorting puts equal tuples next to each other, so one
+   pass sums each run in place. Counts are positive on entry, so every
+   sum is too. *)
+let normalize schema pairs =
+  let rows = Array.of_list pairs in
+  sort_rows rows;
+  let kept = ref 0 in
+  for i = 0 to Array.length rows - 1 do
+    let tup, cnt = rows.(i) in
+    let last = !kept - 1 in
+    if last >= 0 && Tuple.equal (fst rows.(last)) tup then
+      rows.(last) <- (tup, Count.add_tracked (snd rows.(last)) cnt)
+    else begin
+      rows.(!kept) <- rows.(i);
+      incr kept
     end
-  done
-
-let table_rows table =
-  T.fold (fun tup cnt acc -> if cnt > 0 then (tup, cnt) :: acc else acc)
-    table []
-
-(* The columnar path encodes once and groups in the integer domain —
-   same spec (sum per distinct tuple, drop non-positive, sort), so the
-   output is bit-identical to the row path; saturating addition is
-   order-free, so the two paths' different accumulation orders cannot
-   diverge even at the saturation point. *)
-let grouped schema pairs =
-  if Storage.is_columnar () then
-    of_encoded (Colrel.group_self (Colrel.of_pairs schema pairs))
-  else begin
-    let n = Array.length pairs in
-    let rows =
-      if not (Exec.pays_off n) then begin
-        let table = T.create (max 16 n) in
-        group_into table pairs 0 n (fun _ -> true);
-        Array.of_list (table_rows table)
-      end
-      else begin
-        let parts = Exec.jobs () in
-        let buckets = Exec.parallel_map (fun (tup, _) -> Tuple.bucket tup parts) pairs in
-        let groups = Array.make parts [] in
-        Exec.parallel_for ~chunks:parts 0 parts (fun p ->
-            let table = T.create (max 16 (n / parts)) in
-            group_into table pairs 0 n (fun i -> buckets.(i) = p);
-            groups.(p) <- table_rows table);
-        Array.of_list (List.concat (Array.to_list groups))
-      end
-    in
-    Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows;
-    mk schema rows
-  end
-
-(* Merge duplicate tuples, drop zero counts, sort: the canonical form all
-   constructors funnel through. *)
-let normalize schema pairs = grouped schema (Array.of_list pairs)
+  done;
+  mk schema (Array.sub rows 0 !kept)
 
 let check_row schema (tup, cnt) =
   if Tuple.arity tup <> Schema.arity schema then
@@ -153,27 +107,16 @@ let iter f r = Array.iter (fun (tup, cnt) -> f tup cnt) r.rows
 
 let c_projected = Obs.counter "relation.rows_projected"
 
+(* Column selection is array indexing and the group-by runs on ids: no
+   per-row tuple is built until the result decodes. *)
 let project target r =
   Obs.span "relation.project" @@ fun () ->
   Obs.add c_projected (Array.length r.rows);
   if not (Schema.subset target r.schema) then
     Errors.schema_errorf "project: %a is not a subset of %a" Schema.pp target
       Schema.pp r.schema;
-  let positions =
-    Schema.positions ~sub:target r.schema
-  in
-  if Storage.is_columnar () then
-    (* Column selection is array indexing and the group-by runs on ids:
-       no per-row tuple is ever built. *)
-    of_encoded (Colrel.group_by ~schema:target positions (encoded r))
-  else begin
-    let key (tup, cnt) = (Tuple.project positions tup, cnt) in
-    let keyed =
-      if Exec.pays_off (Array.length r.rows) then Exec.parallel_map key r.rows
-      else Array.map key r.rows
-    in
-    grouped target keyed
-  end
+  let positions = Schema.positions ~sub:target r.schema in
+  of_encoded (Colrel.group_by ~schema:target positions (encoded r))
 
 let filter pred r =
   let rows =
@@ -222,11 +165,14 @@ let max_row r =
       | Some (_, best_cnt) -> if cnt > best_cnt then Some (tup, cnt) else best)
     None r.rows
 
+(* Only the largest group sum is needed, so the groups stay in the
+   integer domain: nothing is decoded or sorted. *)
 let max_frequency ~over r =
   if Schema.arity over = 0 then cardinality r
   else
-    let grouped = project over r in
-    match max_row grouped with None -> 0 | Some (_, c) -> c
+    Colrel.group_by ~schema:over (Schema.positions ~sub:over r.schema) (encoded r)
+    |> Colrel.counts
+    |> Array.fold_left Count.max Count.zero
 
 let active_domain attr r =
   let pos = Schema.index attr r.schema in

@@ -92,22 +92,18 @@ val active_domain : Attr.t -> t -> Value.t list
 (** {1 Columnar boundary (storage layer)}
 
     The handshake between row relations and the dictionary-encoded
-    columnar kernels ({!Colrel}, {!Coljoin}) dispatched under
-    [TSENS_STORAGE=columnar]. Operators call these; most library users
-    never need to. *)
+    columnar kernels ({!Colrel}, {!Join}, {!Index}). Operators call
+    these; most library users never need to. *)
 
 val encoded : t -> Colrel.t
 (** The columnar encoding of the relation, computed on first use and
-    memoized on the value (rebuilt if {!Dict.generation} has moved).
-    Rows of the encoding are in the relation's sorted row order. *)
+    memoized on the value. Row [i] of the encoding is [(rows r).(i)]. *)
 
 val of_encoded : Colrel.t -> t
 (** Materialize a kernel output. The input rows must be distinct
     (which {!Colrel}'s constructors guarantee); sorting by
     {!Tuple.compare} is the only canonicalization applied, so the result
-    is bit-identical to funneling the decoded rows through {!create}.
-    The result carries the (sorted) encoding, so columnar operator
-    chains never re-intern. *)
+    is bit-identical to funneling the decoded rows through {!create}. *)
 
 (** {1 Comparison and printing} *)
 

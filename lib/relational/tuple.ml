@@ -16,35 +16,9 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-(* FNV-1a-style accumulator over the per-value hashes, with a final
-   avalanche. The previous [acc * 31 + h] mix left the low bits of the
-   last value dominating the low bits of the result, so partitioning by
-   [hash mod parts] degenerated on sequential integer keys (every bucket
-   function the parallel kernels use routes through these low bits). *)
-let fnv_prime = 0x100000001b3
-
-let hash t =
-  let h = ref 0x2545f4914f6cdd1d in
-  Array.iter (fun v -> h := (!h lxor Value.hash v) * fnv_prime) t;
-  let h = !h in
-  h lxor (h lsr 29)
-
-(* One hashed-table functor for every tuple-keyed table in the library
-   (joins, indexes, relation normalization): consistent hashing, no
-   polymorphic-compare fallback. *)
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
-
-let bucket t parts = hash t land max_int mod parts
-
 let project positions t = Array.map (fun i -> t.(i)) positions
 let get t i = t.(i)
 let arity = Array.length
-let concat = Array.append
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

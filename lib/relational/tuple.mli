@@ -12,23 +12,12 @@ val compare : t -> t -> int
 (** Lexicographic by {!Value.compare}; shorter tuples first. *)
 
 val equal : t -> t -> bool
-val hash : t -> int
-
-module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by {!hash}/{!equal} — the one table type every
-    tuple-keyed structure (joins, indexes, normalization) shares. *)
-
-val bucket : t -> int -> int
-(** [bucket t parts] is a stable partition id in [[0, parts)] derived
-    from {!hash} — hash partitioning for the parallel operators. *)
 
 val project : int array -> t -> t
 (** [project positions tup] picks the values at [positions], in order. *)
 
 val get : t -> int -> Value.t
 val arity : t -> int
-
-val concat : t -> t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Renders as [(v1, v2, ...)]. *)

@@ -220,19 +220,11 @@ let scale_table factor table =
 let run_component ?(skip = []) ghd db =
   let cq = Ghd.cq ghd in
   let tree = Ghd.bag_tree ghd in
-  let bag_rel =
-    let cache = Hashtbl.create 16 in
-    fun v ->
-      match Hashtbl.find_opt cache v with
-      | Some r -> r
-      | None ->
-          let r =
-            Join.join_all
-              (List.map (fun m -> Database.find m db) (Ghd.members ghd v))
-          in
-          Hashtbl.replace cache v r;
-          r
-  in
+  (* A bag's relation B_v is the join of its members. The passes hand
+     the members to [Join.join_project_all], which projects away
+     attributes as it joins, instead of materializing the full bag join
+     (and, once a kernel reads it, its encoding too). *)
+  let members v = List.map (fun m -> Database.find m db) (Ghd.members ghd v) in
   (* Bottom-up botjoins: ⊥(v) = γ_link(v) (B_v ⋈ {⊥(c)}). *)
   let botjoins = Hashtbl.create 16 in
   let bot_seconds = Hashtbl.create 16 in
@@ -244,7 +236,7 @@ let run_component ?(skip = []) ghd db =
         let children = Join_tree.children tree v in
         Join.join_project_all
           ~group:(Join_tree.link_schema tree v)
-          (bag_rel v :: List.map (Hashtbl.find botjoins) children)
+          (members v @ List.map (Hashtbl.find botjoins) children)
       in
       Hashtbl.replace botjoins v bot;
       Hashtbl.replace bot_seconds v (Obs.now_seconds () -. t0);
@@ -268,8 +260,9 @@ let run_component ?(skip = []) ghd db =
             let siblings = Join_tree.siblings tree v in
             Join.join_project_all
               ~group:(Join_tree.link_schema tree v)
-              (bag_rel p :: Hashtbl.find topjoins p
-              :: List.map (Hashtbl.find botjoins) siblings)
+              (members p
+              @ Hashtbl.find topjoins p
+                :: List.map (Hashtbl.find botjoins) siblings)
           in
           Hashtbl.replace topjoins v top);
       Hashtbl.replace top_seconds v (Obs.now_seconds () -. t0);

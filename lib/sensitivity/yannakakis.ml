@@ -1,23 +1,19 @@
 open Tsens_relational
 open Tsens_query
 
-(* The join of a bag's member relations, columns as stored in [db]. *)
-let bag_relation ghd db bag =
-  let members = Ghd.members ghd bag in
-  let rels = List.map (fun r -> Database.find r db) members in
-  Join.join_all rels
-
 let count_ghd ghd db =
   Cq.check_database (Ghd.cq ghd) db;
   let tree = Ghd.bag_tree ghd in
-  (* Bottom-up: botjoin(v) = γ_link(v) (B_v ⋈ botjoins of children). *)
+  (* Bottom-up: botjoin(v) = γ_link(v) (B_v ⋈ botjoins of children),
+     with B_v left as its member relations so the fused join-project
+     never materializes the full bag join. *)
   let botjoins = Hashtbl.create 16 in
   List.iter
     (fun v ->
-      let base = bag_relation ghd db v in
+      let members = List.map (fun r -> Database.find r db) (Ghd.members ghd v) in
       let child_bots = List.map (Hashtbl.find botjoins) (Join_tree.children tree v) in
       let link = Join_tree.link_schema tree v in
-      let bot = Join.join_project_all ~group:link (base :: child_bots) in
+      let bot = Join.join_project_all ~group:link (members @ child_bots) in
       Hashtbl.replace botjoins v bot)
     (Join_tree.post_order tree);
   let root_bot = Hashtbl.find botjoins (Join_tree.root tree) in

@@ -111,11 +111,6 @@ let prop_natural_join_jobs =
     Tgen.print_relation_pair (fun (a, b) ->
       same_at_all_jobs Relation.equal (fun () -> Join.natural_join a b))
 
-let prop_merge_join_jobs =
-  Tgen.qtest "merge_join identical across jobs" Tgen.joinable_pair_gen
-    Tgen.print_relation_pair (fun (a, b) ->
-      same_at_all_jobs Relation.equal (fun () -> Join.merge_join a b))
-
 let prop_join_project_jobs =
   Tgen.qtest "join_project identical across jobs" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
@@ -237,7 +232,6 @@ let () =
       ( "determinism",
         [
           prop_natural_join_jobs;
-          prop_merge_join_jobs;
           prop_join_project_jobs;
           prop_count_join_jobs;
           prop_join_project_all_jobs;

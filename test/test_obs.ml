@@ -107,6 +107,29 @@ let test_reset_clears_but_keeps_handles () =
     t.Obs.Report.total;
   Obs.reset ()
 
+(* A group sum can saturate although every input count is finite: the
+   group-by must still report it. *)
+let test_project_saturation_counted () =
+  let open Tsens_relational in
+  let r =
+    Relation.create
+      ~schema:(Schema.of_attrs [ "A"; "B" ])
+      [
+        (Tuple.of_list [ Value.Int 1; Value.Int 1 ], Count.max_count - 1);
+        (Tuple.of_list [ Value.Int 1; Value.Int 2 ], 5);
+      ]
+  in
+  let projected, report =
+    with_sink (fun () ->
+        let p = Relation.project (Schema.of_attrs [ "A" ]) r in
+        (p, Obs.Report.capture ()))
+  in
+  Alcotest.(check bool) "group sum saturated" true
+    (Count.is_saturated (Relation.count_of (Tuple.of_list [ Value.Int 1 ]) projected));
+  let sat = find_total report.Obs.Report.counters "count.saturations" in
+  Alcotest.(check int) "saturation counted" 1
+    (match sat with Some t -> t.Obs.Report.total | None -> 0)
+
 (* The sink feeds dashboards and BENCH_obs.json; keep the rendering
    stable without parsing: shape-check the JSON by substring. *)
 let test_json_shape () =
@@ -147,6 +170,8 @@ let () =
             test_disabled_records_nothing;
           Alcotest.test_case "reset keeps handles" `Quick
             test_reset_clears_but_keeps_handles;
+          Alcotest.test_case "project saturation counted" `Quick
+            test_project_saturation_counted;
         ] );
       ( "report",
         [ Alcotest.test_case "json shape" `Quick test_json_shape ] );

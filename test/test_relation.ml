@@ -397,7 +397,7 @@ let prop_join_project_all_consistent =
       Relation.equal fused naive)
 
 (* [group] lists its attributes in the reverse of the join order: the
-   result's schema must be [group] itself, in both storage engines. *)
+   result's schema must be [group] itself. *)
 let test_join_project_all_group_order () =
   let r =
     Relation.create ~schema:(schema [ "A"; "B" ])
@@ -412,37 +412,13 @@ let test_join_project_all_group_order () =
       [ (tup [ v 20; v 30 ], 1); (tup [ v 20; v 31 ], 2); (tup [ v 21; v 30 ], 5) ]
   in
   let group = schema [ "D"; "A" ] in
-  List.iter
-    (fun (what, mode) ->
-      Storage.with_mode mode @@ fun () ->
-      let fused = Join.join_project_all ~group [ r; s; t ] in
-      Alcotest.(check bool) (what ^ ": schema is group") true
-        (Schema.equal group (Relation.schema fused));
-      Alcotest.(check bool) (what ^ ": = project o join_all") true
-        (Relation.equal fused (Relation.project group (Join.join_all [ r; s; t ])));
-      Alcotest.(check int) (what ^ ": (31, 1) = 2*3*2") 12
-        (Relation.count_of (tup [ v 31; v 1 ]) fused))
-    [ ("row", Storage.Row); ("columnar", Storage.Columnar) ]
-
-let prop_merge_join_equals_hash_join =
-  Tgen.qtest "merge join = hash join" Tgen.joinable_pair_gen
-    Tgen.print_relation_pair (fun (a, b) ->
-      Relation.equal (Join.merge_join a b) (Join.natural_join a b))
-
-let prop_merge_join_cross_product =
-  Tgen.qtest "merge join handles cross products" Tgen.relation_gen
-    Tgen.print_relation (fun r ->
-      (* Join against a disjoint-schema relation: both implementations
-         degrade to the counted cross product. *)
-      let other =
-        Relation.create
-          ~schema:(Schema.of_list [ "Z1"; "Z2" ])
-          [
-            (Tuple.of_list [ v 1; v 2 ], 2);
-            (Tuple.of_list [ v 3; v 4 ], 1);
-          ]
-      in
-      Relation.equal (Join.merge_join r other) (Join.natural_join r other))
+  let fused = Join.join_project_all ~group [ r; s; t ] in
+  Alcotest.(check bool) "schema is group" true
+    (Schema.equal group (Relation.schema fused));
+  Alcotest.(check bool) "= project o join_all" true
+    (Relation.equal fused (Relation.project group (Join.join_all [ r; s; t ])));
+  Alcotest.(check int) "(31, 1) = 2*3*2" 12
+    (Relation.count_of (tup [ v 31; v 1 ]) fused)
 
 let prop_semijoin_no_growth =
   Tgen.qtest "semijoin never grows" Tgen.joinable_pair_gen
@@ -767,8 +743,6 @@ let () =
           prop_join_project_all_consistent;
           Alcotest.test_case "join_project_all keeps group order" `Quick
             test_join_project_all_group_order;
-          prop_merge_join_equals_hash_join;
-          prop_merge_join_cross_product;
           prop_semijoin_no_growth;
         ] );
       ( "index",

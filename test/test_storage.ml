@@ -1,8 +1,9 @@
-(* The storage layer: row/columnar equivalence properties (the columnar
-   kernels must be bit-identical to the row oracle, at every job
-   count), plus units for the dictionary, the columnar boundary, the
-   integer-key tables and the hash-quality regressions that the
-   columnar radix partitioning leans on. *)
+(* The storage layer: the dictionary-encoded kernels checked against
+   the nested-loop row reference in [Reference] (the "row" side of every
+   "columnar = row" property) at every job count, TSens checked against
+   the naive oracle on top of them, plus units for the dictionary, the
+   columnar boundary, the integer-key tables and the hash-quality
+   regressions that the radix partitioning leans on. *)
 
 open Tsens_relational
 open Tsens_query
@@ -13,47 +14,64 @@ let with_cutoff n f =
   Exec.set_sequential_cutoff n;
   Fun.protect ~finally:(fun () -> Exec.set_sequential_cutoff saved) f
 
-(* Columnar [f] equals row-mode [f] at jobs 1, 2 and 4, with the
-   sequential cutoff dropped so tiny QCheck relations still take the
-   partition-parallel kernels. The row reference runs at jobs=1; the
-   exec suite separately pins row-mode determinism across jobs. *)
-let columnar_matches_row equal f =
+(* [check (f ())] holds at jobs 1, 2 and 4, with the sequential cutoff
+   dropped so tiny QCheck relations still take the partition-parallel
+   kernels. *)
+let at_all_jobs check f =
   with_cutoff 1 @@ fun () ->
-  let reference = Storage.with_mode Storage.Row (fun () -> Exec.with_jobs 1 f) in
-  List.for_all
-    (fun j ->
-      equal reference
-        (Storage.with_mode Storage.Columnar (fun () -> Exec.with_jobs j f)))
-    [ 1; 2; 4 ]
+  List.for_all (fun j -> check (Exec.with_jobs j f)) [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernel equivalence properties *)
 
+(* Schema-disjoint from every generated relation: joining it is the
+   counted cross product. *)
+let disjoint =
+  Relation.create
+    ~schema:(Schema.of_list [ "Z1"; "Z2" ])
+    [ (Tuple.of_list [ Value.Int 1; Value.Int 2 ], 2);
+      (Tuple.of_list [ Value.Int 3; Value.Int 4 ], 1) ]
+
 let prop_natural_join_modes =
   Tgen.qtest "natural_join columnar = row" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
-      columnar_matches_row Relation.equal (fun () -> Join.natural_join a b))
+      List.for_all
+        (fun (a, b) ->
+          let expected = Reference.natural_join a b in
+          at_all_jobs
+            (fun r -> Reference.matches r expected)
+            (fun () -> Join.natural_join a b))
+        [ (a, b); (a, disjoint) ])
+
+let join_project_matches ~group a b =
+  let expected = Reference.join_project ~group a b in
+  at_all_jobs
+    (fun r -> Reference.matches r expected)
+    (fun () -> Join.join_project ~group a b)
 
 let prop_join_project_modes =
   Tgen.qtest "join_project columnar = row" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
-      let group = Schema.inter (Relation.schema a) (Relation.schema b) in
-      columnar_matches_row Relation.equal (fun () ->
-          Join.join_project ~group a b))
+      join_project_matches
+        ~group:(Schema.inter (Relation.schema a) (Relation.schema b))
+        a b)
 
-(* Group key outside the join key: forces the cross-partition group
-   merge in the columnar parallel path. *)
+(* The widest group: every joined row is a group of its own. *)
 let prop_join_project_wide_group =
   Tgen.qtest "join_project full-schema group columnar = row"
     Tgen.joinable_pair_gen Tgen.print_relation_pair (fun (a, b) ->
-      let group = Schema.union (Relation.schema a) (Relation.schema b) in
-      columnar_matches_row Relation.equal (fun () ->
-          Join.join_project ~group a b))
+      join_project_matches
+        ~group:(Schema.union (Relation.schema a) (Relation.schema b))
+        a b)
 
 let prop_count_join_modes =
   Tgen.qtest "count_join columnar = row" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
-      columnar_matches_row Count.equal (fun () -> Join.count_join a b))
+      List.for_all
+        (fun (a, b) ->
+          let expected = Reference.count_join a b in
+          at_all_jobs (Count.equal expected) (fun () -> Join.count_join a b))
+        [ (a, b); (a, disjoint) ])
 
 let prop_project_modes =
   Tgen.qtest "project columnar = row" Tgen.relation_gen Tgen.print_relation
@@ -63,27 +81,13 @@ let prop_project_modes =
         | first :: _ -> Schema.of_list [ first ]
         | [] -> Schema.empty
       in
-      columnar_matches_row Relation.equal (fun () -> Relation.project target r))
+      let expected = Reference.project target r in
+      at_all_jobs
+        (fun p -> Reference.matches p expected)
+        (fun () -> Relation.project target r))
 
 (* ------------------------------------------------------------------ *)
-(* Sensitivity equivalence (the kernels composed end to end) *)
-
-let result_equal (a : Sens_types.result) (b : Sens_types.result) =
-  let witness_equal w1 w2 =
-    match (w1, w2) with
-    | None, None -> true
-    | Some w1, Some w2 ->
-        String.equal w1.Sens_types.relation w2.Sens_types.relation
-        && Schema.equal w1.Sens_types.schema w2.Sens_types.schema
-        && Tuple.equal w1.Sens_types.tuple w2.Sens_types.tuple
-        && Count.equal w1.Sens_types.sensitivity w2.Sens_types.sensitivity
-    | _ -> false
-  in
-  Count.equal a.local_sensitivity b.local_sensitivity
-  && witness_equal a.witness b.witness
-  && List.equal
-       (fun (r1, c1) (r2, c2) -> String.equal r1 r2 && Count.equal c1 c2)
-       a.per_relation b.per_relation
+(* Sensitivity: TSens over the kernels equals the naive oracle *)
 
 let path_cq = Cq.make ~name:"qstore" [ ("R", [ "A"; "B" ]); ("S", [ "B"; "C" ]) ]
 
@@ -99,15 +103,22 @@ let print_db db =
       acc ^ Format.asprintf "%s:@.%a@." name Relation.pp rel)
     db ""
 
-let prop_tsens_modes =
-  Tgen.qtest ~count:60 "tsens columnar = row" path_db_gen print_db (fun db ->
-      columnar_matches_row result_equal (fun () ->
-          Tsens.local_sensitivity path_cq db))
-
-let prop_elastic_modes =
-  Tgen.qtest ~count:60 "elastic columnar = row" path_db_gen print_db (fun db ->
-      columnar_matches_row result_equal (fun () ->
-          Elastic.local_sensitivity path_cq db))
+(* Same LS and per-relation maxima as the naive oracle, and the witness
+   attains the LS under the oracle's own tuple sensitivity. *)
+let prop_tsens_naive =
+  Tgen.qtest ~count:60 "tsens = naive" path_db_gen print_db (fun db ->
+      let naive = Naive.local_sensitivity path_cq db in
+      at_all_jobs
+        (fun (r : Sens_types.result) ->
+          Count.equal r.local_sensitivity naive.local_sensitivity
+          && r.per_relation = naive.per_relation
+          &&
+          match r.witness with
+          | None -> r.local_sensitivity = 0
+          | Some w ->
+              Naive.tuple_sensitivity path_cq db w.relation w.tuple
+              = r.local_sensitivity)
+        (fun () -> Tsens.local_sensitivity path_cq db))
 
 (* ------------------------------------------------------------------ *)
 (* Dictionary units *)
@@ -145,25 +156,6 @@ let test_dict_constructors_distinct () =
   Alcotest.(check bool) "int/bool" true (i <> b);
   Alcotest.(check bool) "str/bool" true (s <> b)
 
-let test_dict_generation_reset () =
-  let g0 = Dict.generation () in
-  let r =
-    Relation.of_rows
-      ~schema:(Schema.of_attrs [ "A" ])
-      [ [ v_int 7 ]; [ v_int 8 ] ]
-  in
-  let c0 = Relation.encoded r in
-  Alcotest.(check int) "encoding stamped" g0 (Colrel.generation c0);
-  Dict.reset ();
-  Alcotest.(check bool) "generation bumped" true (Dict.generation () > g0);
-  (* The memoized encoding is stale: [encoded] must rebuild under the
-     new generation rather than decode through the wrong mapping. *)
-  let c1 = Relation.encoded r in
-  Alcotest.(check int) "rebuilt under new generation" (Dict.generation ())
-    (Colrel.generation c1);
-  Alcotest.check Tgen.relation_testable "round-trips after reset" r
-    (Relation.of_encoded c1)
-
 (* ------------------------------------------------------------------ *)
 (* Columnar boundary *)
 
@@ -176,65 +168,22 @@ let prop_index_modes =
   Tgen.qtest "index probes columnar = row" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
       let key = Schema.inter (Relation.schema a) (Relation.schema b) in
-      let probe idx =
-        (* Probe with every key of [a], present or not in [b]. *)
-        Relation.fold
-          (fun tup _ acc ->
-            let k =
-              Tuple.project (Schema.positions ~sub:key (Relation.schema a)) tup
-            in
-            (Index.group_count idx k, Array.length (Index.lookup idx k)) :: acc)
-          a []
-      in
-      let run mode =
-        Storage.with_mode mode (fun () -> probe (Index.build ~key b))
-      in
-      List.equal
-        (fun (c1, n1) (c2, n2) -> Count.equal c1 c2 && n1 = n2)
-        (run Storage.Row) (run Storage.Columnar))
+      let positions = Schema.positions ~sub:key (Relation.schema a) in
+      (* Probe with every key of [a], present or not in [b]. *)
+      let keys = List.map (fun (t, _) -> Tuple.project positions t) (Reference.rows a) in
+      at_all_jobs
+        (fun idx ->
+          List.for_all
+            (fun k ->
+              Count.equal (Index.group_count idx k)
+                (Reference.group_count ~key b k)
+              && List.sort compare (Array.to_list (Index.lookup idx k))
+                 = List.sort compare (Reference.lookup ~key b k))
+            keys)
+        (fun () -> Index.build ~key b))
 
 (* ------------------------------------------------------------------ *)
 (* Hash quality regressions *)
-
-(* Sequential keys must spread evenly over any partition count: the *31
-   accumulator this replaced put consecutive single-attribute tuples in
-   consecutive buckets only when parts divided 31 cleanly, and composite
-   keys skewed badly. Allow max 2x the ideal bucket load. *)
-let bucket_skew_ok tuples parts =
-  let counts = Array.make parts 0 in
-  List.iter
-    (fun t ->
-      let b = Tuple.bucket t parts in
-      counts.(b) <- counts.(b) + 1)
-    tuples;
-  let n = List.length tuples in
-  let mean = float_of_int n /. float_of_int parts in
-  Array.for_all (fun c -> float_of_int c <= (2.0 *. mean) +. 1.0) counts
-
-let test_tuple_bucket_skew () =
-  let n = 4096 in
-  let singles = List.init n (fun i -> Tuple.of_list [ v_int i ]) in
-  let pairs_seq =
-    List.init n (fun i -> Tuple.of_list [ v_int i; v_int (i + 1) ])
-  in
-  let pairs_const =
-    List.init n (fun i -> Tuple.of_list [ v_int 7; v_int i ])
-  in
-  List.iter
-    (fun parts ->
-      Alcotest.(check bool)
-        (Printf.sprintf "singles spread over %d parts" parts)
-        true
-        (bucket_skew_ok singles parts);
-      Alcotest.(check bool)
-        (Printf.sprintf "sequential pairs spread over %d parts" parts)
-        true
-        (bucket_skew_ok pairs_seq parts);
-      Alcotest.(check bool)
-        (Printf.sprintf "constant-prefix pairs spread over %d parts" parts)
-        true
-        (bucket_skew_ok pairs_const parts))
-    [ 2; 3; 4; 7; 8; 16 ]
 
 let test_intkey_mix_spread () =
   let parts = 8 and n = 4096 in
@@ -321,21 +270,17 @@ let () =
           prop_count_join_modes;
           prop_project_modes;
         ] );
-      ( "sensitivity",
-        [ prop_tsens_modes; prop_elastic_modes ] );
+      ("sensitivity", [ prop_tsens_naive ]);
       ( "dict",
         [
           Alcotest.test_case "intern stable" `Quick test_dict_intern_stable;
           Alcotest.test_case "find_opt" `Quick test_dict_find_opt;
           Alcotest.test_case "constructors distinct" `Quick
             test_dict_constructors_distinct;
-          Alcotest.test_case "generation reset" `Quick
-            test_dict_generation_reset;
         ] );
       ( "boundary", [ prop_encode_roundtrip; prop_index_modes ] );
       ( "hashing",
         [
-          Alcotest.test_case "tuple bucket skew" `Quick test_tuple_bucket_skew;
           Alcotest.test_case "intkey mix spread" `Quick test_intkey_mix_spread;
           Alcotest.test_case "value hash constructors" `Quick
             test_value_hash_constructors;

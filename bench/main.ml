@@ -128,26 +128,6 @@ let micro_cmd =
   cmd "micro" "Bechamel micro-benchmarks of the core kernels."
     Term.(const Micro.run $ const ())
 
-let parallel_cmd =
-  let repeats =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~docv:"N" ~doc:"Trials per job count (best kept).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_parallel.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
-  in
-  cmd "parallel"
-    "Jobs sweep of the parallel kernels; checks results are identical \
-     across job counts and writes BENCH_parallel.json."
-    Term.(
-      const (fun seed scale repeats out ->
-          Exp_parallel.run ~seed ~scale ~repeats ~out)
-      $ seed_arg $ scale_arg 0.01 $ repeats $ out)
-
 let run_all seed scales scale runs epsilon fb_params =
   let fb_params = { fb_params with Facebook.seed } in
   let sweep = Exp_tpch_sweep.run ~seed ~scales in
@@ -186,7 +166,6 @@ let () =
         topk_cmd;
         explain_cmd;
         micro_cmd;
-        parallel_cmd;
       ]
   in
   exit (Cmd.eval group)

@@ -1,86 +1,6 @@
-(** Multicore execution: a process-wide pool of worker domains and
-    fork-join parallel primitives with deterministic merge order.
-
-    The pool is a fixed set of [Domain.spawn] workers created lazily on
-    the first parallel region and joined at process exit. A parallel
-    region splits its work into chunks, queues them, lets the calling
-    domain execute chunks alongside the workers, and returns once every
-    chunk has finished. Callers never observe scheduling: results are
-    merged in chunk-index order, so every primitive returns exactly what
-    its sequential counterpart would.
-
-    Concurrency contract:
-    - With [jobs () = 1] (the default when the machine has one core, or
-      after [set_jobs 1]) every primitive runs sequentially in the
-      calling domain — the pool is bypassed entirely.
-    - A parallel call made from inside a region task (any nesting) runs
-      sequentially in its own domain; the pool never deadlocks on
-      re-entrant use.
-    - If a task raises, the remaining tasks of the region still run; the
-      first exception (with its backtrace) is re-raised at the join in
-      the calling domain. *)
-
-(** {1 Sizing} *)
-
-val default_jobs : unit -> int
-(** The pool size used unless {!set_jobs} overrides it: the
-    [TSENS_JOBS] environment variable if set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. Clamped to
-    [\[1, 64\]]. *)
+(** The execution model: every operator runs sequentially in the calling
+    domain. *)
 
 val jobs : unit -> int
-(** The current pool size (coordinating domain included). *)
-
-val set_jobs : int -> unit
-(** Override the pool size, clamped to [\[1, 64\]]. [set_jobs 1]
-    disables parallel execution; it does not tear down already-spawned
-    workers (they idle). *)
-
-val with_jobs : int -> (unit -> 'a) -> 'a
-(** [with_jobs j f] runs [f] with the pool sized to [j], restoring the
-    previous setting afterwards (also on exceptions). Intended for tests
-    and benchmarks that sweep job counts. *)
-
-val pays_off : int -> bool
-(** [pays_off n] decides whether splitting [n] cheap per-item work units
-    is worth a parallel region: true iff [jobs () > 1], the caller is
-    not already inside a region, and [n] reaches the sequential cutoff
-    (see {!set_sequential_cutoff}). Work whose items are individually
-    expensive (e.g. whole query evaluations) should ignore this and
-    call the primitives directly — they fall back to sequential
-    execution on their own when parallelism is unavailable. *)
-
-val set_sequential_cutoff : int -> unit
-(** Lower bound on [n] for {!pays_off} (default 4096; clamped to
-    [>= 1]). Tests lower it to force the partitioned code paths onto
-    small inputs. *)
-
-val sequential_cutoff : unit -> int
-
-(** {1 Fork-join primitives} *)
-
-val run_tasks : (unit -> unit) array -> unit
-(** Run every task to completion, on the pool when available. Tasks must
-    synchronize through their own disjoint state; the join provides the
-    happens-before edge that makes their writes visible to the caller. *)
-
-val parallel_for : ?chunks:int -> int -> int -> (int -> unit) -> unit
-(** [parallel_for lo hi body] runs [body i] for [lo <= i < hi], split
-    into at most [chunks] (default: a small multiple of [jobs ()])
-    contiguous ranges. Iterations must be independent. *)
-
-val parallel_map : ('a -> 'b) -> 'a array -> 'b array
-(** Chunked map; the result is element-for-element [Array.map f arr]
-    regardless of scheduling. *)
-
-val parallel_map_list : ('a -> 'b) -> 'a list -> 'b list
-(** [List.map f l], computing elements on the pool. Suits small lists of
-    expensive items (per-relation fan-outs): each element becomes its
-    own task once the list is shorter than the chunk budget. *)
-
-(** {1 Lifecycle} *)
-
-val shutdown : unit -> unit
-(** Signal the workers to exit and join them. Called automatically at
-    process exit; safe to call twice. Subsequent parallel regions
-    respawn the pool. *)
+(** The number of domains operators run on: always 1. Reported by
+    benchmark harnesses next to their timings. *)

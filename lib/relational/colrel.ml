@@ -36,15 +36,46 @@ let of_pairs schema (pairs : (Tuple.t * Count.t) array) =
   let n = Array.length pairs in
   let cols = Array.init arity (fun _ -> Array.make n 0) in
   let counts = Array.make n 0 in
-  Dict.with_interner (fun intern ->
-      for i = 0 to n - 1 do
-        let tup, cnt = pairs.(i) in
-        for j = 0 to arity - 1 do
-          cols.(j).(i) <- intern (Tuple.get tup j)
-        done;
-        counts.(i) <- cnt
-      done);
+  for i = 0 to n - 1 do
+    let tup, cnt = pairs.(i) in
+    for j = 0 to arity - 1 do
+      cols.(j).(i) <- Dict.intern (Tuple.get tup j)
+    done;
+    counts.(i) <- cnt
+  done;
   { schema; nrows = n; cols; counts }
+
+(* ------------------------------------------------------------------ *)
+(* Per-row key signatures: one int per row for the key columns at
+   [positions]. An arity-0 key puts every row under signature 0, arity 1
+   uses the raw dictionary id (the column itself, shared), and wider keys
+   go through [find], a Keydict lookup over the key vector. *)
+
+let signatures find t positions =
+  let k = Array.length positions in
+  if k = 0 then Array.make t.nrows 0
+  else if k = 1 then t.cols.(positions.(0))
+  else begin
+    let srcs = Array.map (fun p -> t.cols.(p)) positions in
+    let scratch = Array.make k 0 in
+    Array.init t.nrows (fun i ->
+        for j = 0 to k - 1 do
+          scratch.(j) <- srcs.(j).(i)
+        done;
+        find scratch)
+  end
+
+let key_signatures t positions =
+  let k = Array.length positions in
+  let kd =
+    if k >= 2 then Some (Intkey.Keydict.create ~arity:k t.nrows) else None
+  in
+  let intern key = Intkey.Keydict.lookup_or_add (Option.get kd) key in
+  (kd, signatures intern t positions)
+
+let probe_signatures kd t positions =
+  let lookup key = Intkey.Keydict.lookup (Option.get kd) key in
+  signatures lookup t positions
 
 let decode_row t i =
   Array.init (arity t) (fun j -> Dict.value t.cols.(j).(i))

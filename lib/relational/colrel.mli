@@ -16,8 +16,8 @@ val make : schema:Schema.t -> cols:int array array -> counts:Count.t array -> t
     length. *)
 
 val of_pairs : Schema.t -> (Tuple.t * Count.t) array -> t
-(** Encode rows verbatim (interning every value, one dictionary lock
-    acquisition for the whole relation). The rows must be distinct. *)
+(** Encode rows verbatim, interning every value. The rows must be
+    distinct. *)
 
 val schema : t -> Schema.t
 val nrows : t -> int
@@ -30,6 +30,24 @@ val counts : t -> Count.t array
 (** Per-row multiplicities. Owned by the relation: do not mutate. *)
 
 val decode_rows : t -> (Tuple.t * Count.t) array
+
+(** {1 Key signatures}
+
+    One int per row standing for the row's key over the columns at
+    [positions]: [0] for an empty key, the raw dictionary id for a
+    one-column key (the column array itself, shared — do not mutate),
+    and a dense {!Intkey.Keydict} id for wider keys. The hash joins and
+    the index key their tables by these. *)
+
+val key_signatures : t -> int array -> Intkey.Keydict.t option * int array
+(** Signatures of the build side. Wider keys are interned into a fresh
+    Keydict, returned for {!probe_signatures}; it is [Some] iff the key
+    has two or more columns. *)
+
+val probe_signatures : Intkey.Keydict.t option -> t -> int array -> int array
+(** Signatures of a probe side under the build side's Keydict, with the
+    key columns listed in the build side's key order. A key the build
+    side never saw gets [-1]. *)
 
 (** {1 Group-by}
 

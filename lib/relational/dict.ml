@@ -3,53 +3,29 @@
    [int] id. Logically this is a per-database dictionary; because
    databases are persistent maps that freely share relations (and
    relations flow between databases through joins and truncation), the
-   implementation is one process-wide store.
+   implementation is one process-wide store: a value→id hash table plus
+   a growable id→value array.
 
    An id, once assigned, never changes meaning, so a memoized columnar
    artifact (the encoding cached on a relation, an integer-keyed index)
-   can never decode to the wrong value.
+   can never decode to the wrong value. *)
 
-   Concurrency: interning happens on whichever domain encodes a relation
-   (worker domains encode inside join tasks), so the value→id table is
-   mutex-guarded. Decoding is the hot read path and takes no lock: the
-   id→value array is published by [Atomic.set] after its slots are
-   written, grown by copy (a published array is never shrunk and its
-   initialized prefix never mutated), and a reader can only hold an id
-   that some intern call returned before it — the release/acquire pair
-   on the atomics makes the slot write visible. *)
-
-let dummy = Value.Bool false
-let mutex = Mutex.create ()
 let table : int Value.Tbl.t = Value.Tbl.create 1024
-let values : Value.t array Atomic.t = Atomic.make (Array.make 256 dummy)
-let count = Atomic.make 0
+let values = ref (Array.make 256 (Value.Bool false))
 
-(* Must be called with [mutex] held. *)
-let intern_locked v =
+let intern v =
   match Value.Tbl.find_opt table v with
   | Some id -> id
   | None ->
-      let n = Atomic.get count in
-      let arr = Atomic.get values in
-      let arr =
-        if n < Array.length arr then arr
-        else begin
-          let bigger = Array.make (2 * Array.length arr) dummy in
-          Array.blit arr 0 bigger 0 n;
-          Atomic.set values bigger;
-          bigger
-        end
-      in
-      arr.(n) <- v;
+      let n = Value.Tbl.length table in
+      if n = Array.length !values then begin
+        let bigger = Array.make (2 * n) v in
+        Array.blit !values 0 bigger 0 n;
+        values := bigger
+      end;
+      !values.(n) <- v;
       Value.Tbl.add table v n;
-      Atomic.set count (n + 1);
       n
 
-let intern v = Mutex.protect mutex (fun () -> intern_locked v)
-
-(* One lock acquisition for a whole relation encode instead of one per
-   cell. [f] must not call back into this module. *)
-let with_interner f = Mutex.protect mutex (fun () -> f intern_locked)
-
-let find_opt v = Mutex.protect mutex (fun () -> Value.Tbl.find_opt table v)
-let value id = (Atomic.get values).(id)
+let find_opt v = Value.Tbl.find_opt table v
+let value id = !values.(id)

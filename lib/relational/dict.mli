@@ -4,18 +4,11 @@
     representation ({!Colrel}) stores relations as arrays of these ids
     and the integer-key join kernels compare and hash nothing else.
     Append-only: an id never changes meaning, so an encoding memoized on
-    a relation stays valid by construction.
-    Domain-safe: interning is serialized, decoding is lock-free. *)
+    a relation stays valid by construction. *)
 
 val intern : Value.t -> int
 (** The id of a value, assigning the next dense id on first sight.
     Injective: distinct values get distinct ids. *)
-
-val with_interner : ((Value.t -> int) -> 'a) -> 'a
-(** [with_interner f] passes [f] an intern function that holds the
-    dictionary lock for the whole call — one acquisition per relation
-    encode instead of one per cell. [f] must not call back into this
-    module. *)
 
 val find_opt : Value.t -> int option
 (** The id of a value if it has ever been interned, without interning

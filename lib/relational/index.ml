@@ -1,12 +1,11 @@
 (* The index is built in the integer domain: the source is encoded once
    ({!Relation.encoded}), the key collapses to one int signature per row
-   (raw dictionary id for single-column keys, a {!Intkey.Keydict} id
-   otherwise), and the groups are chained row ids in an open-addressing
-   table. A probe interns nothing: each probe value is looked up in the
-   dictionary, and any absent value proves the key matches no row.
-   Row ids of the encoding are positions in the source's [Relation.rows],
-   so [lookup] hands out the relation's own rows — nothing is decoded
-   and [group_count] never touches a tuple. *)
+   ({!Colrel.key_signatures}), and the groups are chained row ids in an
+   open-addressing table. A probe interns nothing: each probe value is
+   looked up in the dictionary, and any absent value proves the key
+   matches no row. Row ids of the encoding are positions in the source's
+   [Relation.rows], so [lookup] hands out the relation's own rows —
+   nothing is decoded and [group_count] never touches a tuple. *)
 
 let c_builds = Obs.counter "index.builds"
 let c_probes = Obs.counter "index.probes"
@@ -22,44 +21,24 @@ type t = {
   counts : Intkey.Itab.t; (* signature -> summed count *)
 }
 
-(* Per-row key signature over the encoded source: an arity-0 key puts
-   every row in one group (signature 0), arity 1 uses the raw dictionary
-   id, wider keys intern through a Keydict. *)
 let build ~key rel =
   Obs.span "index.build" @@ fun () ->
   let source = Relation.schema rel in
   if not (Schema.subset key source) then
     Errors.schema_errorf "index key %a not a subset of %a" Schema.pp key
       Schema.pp source;
-  let positions = Schema.positions ~sub:key source in
   let crel = Relation.encoded rel in
   let n = Colrel.nrows crel in
-  let k = Array.length positions in
-  let kd, sig_of =
-    if k = 0 then (None, fun _ -> 0)
-    else if k = 1 then
-      let src = Colrel.col crel positions.(0) in
-      (None, fun i -> src.(i))
-    else begin
-      let kd = Intkey.Keydict.create ~arity:k n in
-      let srcs = Array.map (Colrel.col crel) positions in
-      let scratch = Array.make k 0 in
-      ( Some kd,
-        fun i ->
-          for j = 0 to k - 1 do
-            scratch.(j) <- srcs.(j).(i)
-          done;
-          Intkey.Keydict.lookup_or_add kd scratch )
-    end
+  let kd, sigs =
+    Colrel.key_signatures crel (Schema.positions ~sub:key source)
   in
   let heads = Intkey.Itab.create (max 16 n) in
   let next = Array.make (max 1 n) (-1) in
   let counts = Intkey.Itab.create (max 16 n) in
   let row_counts = Colrel.counts crel in
   for i = 0 to n - 1 do
-    let s = sig_of i in
-    next.(i) <- Intkey.Itab.exchange heads s i ~default:(-1);
-    Intkey.Itab.add_count counts s row_counts.(i)
+    next.(i) <- Intkey.Itab.exchange heads sigs.(i) i ~default:(-1);
+    Intkey.Itab.add_count counts sigs.(i) row_counts.(i)
   done;
   if Obs.enabled () then begin
     Obs.tick c_builds;

@@ -7,7 +7,7 @@
    only immediate ints. *)
 
 (* splitmix64-style finalizer, truncated to OCaml's 63-bit ints and
-   clamped non-negative. Every bucket/partition decision on integer keys
+   clamped non-negative. Every bucket decision on integer keys
    routes through this so dense id ranges (the common case: dictionary
    ids are assigned sequentially) spread over all bits. *)
 (* The 64-bit splitmix constants exceed OCaml's int literal range; they

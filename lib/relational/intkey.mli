@@ -5,8 +5,8 @@
 
 val mix : int -> int
 (** splitmix64-style finalizer, non-negative. Dictionary ids are dense
-    sequential ints; mixing spreads them over all bits before a slot or
-    partition is taken modulo a power of two (or a job count). *)
+    sequential ints; mixing spreads them over all bits before a slot is
+    taken modulo a power of two. *)
 
 (** Growable int buffer — the kernels' output accumulator. *)
 module Ibuf : sig

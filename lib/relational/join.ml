@@ -5,14 +5,7 @@
    side, probed by the left; a probe miss is a guaranteed non-match) —
    and the build/probe loops run over open-addressing int tables with
    no boxed value in sight. Tuples reappear only when a result decodes
-   back through {!Relation.of_encoded}.
-
-   Above the parallel cutoff [natural_join] and [count_join]
-   radix-partition both sides by the mixed key id (equal keys land in
-   the same partition by construction) and run one partition per pool
-   task; per-partition results merge in partition order. Saturating
-   count sums are order-free and every output is canonicalized by
-   sorting, so results are bit-identical at any job count. *)
+   back through {!Relation.of_encoded}, which sorts them canonically. *)
 
 let c_rows = Obs.counter "join.rows_emitted"
 let c_sat = Obs.counter "count.saturations"
@@ -27,88 +20,38 @@ type plan = {
   right_extra : int array; (* right-side column indexes not in the key *)
 }
 
-(* Key signatures for both sides. One-column keys use raw dictionary ids
-   (the column arrays themselves — zero work); wider keys intern the
-   right side's key vectors into dense ids and look the left side's up
-   (absent = no partner anywhere on the right). A schema-disjoint pair
-   degenerates to the counted cross product via the constant signature
-   0. *)
+(* Key signatures for both sides (see {!Colrel.key_signatures}): the
+   right side interns its keys, the left side looks them up (absent = no
+   partner anywhere on the right). A schema-disjoint pair degenerates to
+   the counted cross product via the constant signature 0. *)
 let make_plan a b =
   let sa = Relation.schema a and sb = Relation.schema b in
   let common = Schema.inter sa sb in
   let combined = Schema.union sa sb in
   let ca = Relation.encoded a and cb = Relation.encoded b in
-  let lpos = Schema.positions ~sub:common sa in
-  let rpos = Schema.positions ~sub:common sb in
+  let kd, rsig = Colrel.key_signatures cb (Schema.positions ~sub:common sb) in
+  let lsig = Colrel.probe_signatures kd ca (Schema.positions ~sub:common sa) in
   let right_extra = Schema.positions ~sub:(Schema.diff sb sa) sb in
-  let k = Array.length lpos in
-  let lsig, rsig =
-    if k = 0 then
-      (Array.make (Colrel.nrows ca) 0, Array.make (Colrel.nrows cb) 0)
-    else if k = 1 then (Colrel.col ca lpos.(0), Colrel.col cb rpos.(0))
-    else begin
-      let kd = Intkey.Keydict.create ~arity:k (Colrel.nrows cb) in
-      let scratch = Array.make k 0 in
-      let sigs lookup c pos =
-        let srcs = Array.map (Colrel.col c) pos in
-        Array.init (Colrel.nrows c) (fun i ->
-            for j = 0 to k - 1 do
-              scratch.(j) <- srcs.(j).(i)
-            done;
-            lookup kd scratch)
-      in
-      let rsig = sigs Intkey.Keydict.lookup_or_add cb rpos in
-      let lsig = sigs Intkey.Keydict.lookup ca lpos in
-      (lsig, rsig)
-    end
-  in
   { combined; ca; cb; lsig; rsig; right_extra }
-
-(* Radix routing: partition of a key signature. Signatures are dense
-   sequential ids, so they go through the avalanche mixer before the
-   modulo. Unmatchable left rows (signature -1) route to -1: no
-   partition touches them. *)
-let partition_of parts s = if s < 0 then -1 else Intkey.mix s mod parts
-
-let partition_ids parts sigs =
-  if Array.length sigs >= 4096 then
-    Exec.parallel_map (partition_of parts) sigs
-  else Array.map (partition_of parts) sigs
-
-let all _ = true
-
-(* Run [kernel lselect rselect] over the whole input below the parallel
-   cutoff, else once per partition on the pool (results in partition
-   order). The select predicates restrict each side to the rows the
-   call owns; unmatchable left rows are never selected. *)
-let partitioned a b plan kernel =
-  if not (Exec.pays_off (Relation.distinct_count a + Relation.distinct_count b))
-  then [ kernel (fun i -> plan.lsig.(i) >= 0) all ]
-  else begin
-    let parts = Exec.jobs () in
-    let lpart = partition_ids parts plan.lsig in
-    let rpart = partition_ids parts plan.rsig in
-    let out = Array.make parts None in
-    Exec.parallel_for ~chunks:parts 0 parts (fun p ->
-        out.(p) <- Some (kernel (fun i -> lpart.(i) = p) (fun j -> rpart.(j) = p)));
-    List.filter_map Fun.id (Array.to_list out)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* count_join: |a ⋈ b| without materializing anything. Per key id the
    right side contributes a summed multiplicity; each left row adds
    count(left) * that sum. *)
 
-let count_partition plan lselect rselect =
+let count_join a b =
+  Obs.span "join.count" @@ fun () ->
+  let plan = make_plan a b in
+  Obs.span "join.stream" @@ fun () ->
   let nb = Colrel.nrows plan.cb and na = Colrel.nrows plan.ca in
   let bcounts = Colrel.counts plan.cb and acounts = Colrel.counts plan.ca in
   let tab = Intkey.Itab.create (max 16 nb) in
   for j = 0 to nb - 1 do
-    if rselect j then Intkey.Itab.add_count tab plan.rsig.(j) bcounts.(j)
+    Intkey.Itab.add_count tab plan.rsig.(j) bcounts.(j)
   done;
   let total = ref Count.zero in
   for i = 0 to na - 1 do
-    if lselect i then begin
+    if plan.lsig.(i) >= 0 then begin
       let group = Intkey.Itab.find tab plan.lsig.(i) ~default:0 in
       if group > 0 then
         total := Count.add_tracked !total (Count.mul acounts.(i) group)
@@ -116,47 +59,40 @@ let count_partition plan lselect rselect =
   done;
   !total
 
-let count_join a b =
-  Obs.span "join.count" @@ fun () ->
-  let plan = make_plan a b in
-  Obs.span "join.stream" @@ fun () ->
-  partitioned a b plan (count_partition plan)
-  |> List.fold_left Count.add_tracked Count.zero
-
 (* ------------------------------------------------------------------ *)
 (* natural_join: materialize the combined rows. Every output row embeds
    its full left row, and two right partners of one left row that agreed
    on the key and every extra column would be the same (distinct) right
-   row — so outputs are distinct, across partitions too, and go straight
-   through Relation.of_encoded with no grouping pass. *)
+   row — so outputs are distinct and go straight through
+   Relation.of_encoded with no grouping pass. *)
 
-(* Chained right-row index for one partition: [heads] maps a key id to
-   the most recently seen right row, [next] threads the rest. Probing
-   walks newest-first; output order is canonicalized later, so chain
-   order is irrelevant. *)
-let build_chains plan rselect =
+(* Chained right-row index: [heads] maps a key id to the most recently
+   seen right row, [next] threads the rest. Probing walks newest-first;
+   output order is canonicalized later, so chain order is irrelevant. *)
+let build_chains plan =
   let nb = Colrel.nrows plan.cb in
   let heads = Intkey.Itab.create (max 16 nb) in
   let next = Array.make (max 1 nb) (-1) in
   for j = 0 to nb - 1 do
-    if rselect j then
-      next.(j) <- Intkey.Itab.exchange heads plan.rsig.(j) j ~default:(-1)
+    next.(j) <- Intkey.Itab.exchange heads plan.rsig.(j) j ~default:(-1)
   done;
   (heads, next)
 
-let join_partition plan lselect rselect =
+let natural_join a b =
+  Obs.span "join.stream" @@ fun () ->
+  let plan = make_plan a b in
   let na = Colrel.nrows plan.ca in
   let acounts = Colrel.counts plan.ca and bcounts = Colrel.counts plan.cb in
   let la = Colrel.arity plan.ca in
   let ne = Array.length plan.right_extra in
-  let heads, next = build_chains plan rselect in
+  let heads, next = build_chains plan in
   let acols = Array.init la (Colrel.col plan.ca) in
   let ecols = Array.map (Colrel.col plan.cb) plan.right_extra in
   let out = Array.init (la + ne) (fun _ -> Intkey.Ibuf.create 64) in
   let counts = Intkey.Ibuf.create 64 in
   let live = Obs.enabled () in
   for i = 0 to na - 1 do
-    if lselect i then begin
+    if plan.lsig.(i) >= 0 then begin
       let j = ref (Intkey.Itab.find heads plan.lsig.(i) ~default:(-1)) in
       while !j >= 0 do
         for jc = 0 to la - 1 do
@@ -175,27 +111,15 @@ let join_partition plan lselect rselect =
       done
     end
   done;
-  (Array.map Intkey.Ibuf.to_array out, Intkey.Ibuf.to_array counts)
-
-let natural_join a b =
-  Obs.span "join.stream" @@ fun () ->
-  let plan = make_plan a b in
-  let cols, counts =
-    match partitioned a b plan (join_partition plan) with
-    | [ piece ] -> piece
-    | pieces ->
-        ( Array.init (Schema.arity plan.combined) (fun jc ->
-              Array.concat (List.map (fun (cs, _) -> cs.(jc)) pieces)),
-          Array.concat (List.map snd pieces) )
-  in
-  Relation.of_encoded (Colrel.make ~schema:plan.combined ~cols ~counts)
+  Relation.of_encoded
+    (Colrel.make ~schema:plan.combined
+       ~cols:(Array.map Intkey.Ibuf.to_array out)
+       ~counts:(Intkey.Ibuf.to_array counts))
 
 (* ------------------------------------------------------------------ *)
 (* join_project: the fused γ_group(a ⋈ b) — matches stream into an
    integer group-by keyed on the [group] columns of the (never
-   materialized) combined row. It runs sequentially at every job count:
-   group keys need not contain the join key, so a partition-parallel
-   plan would hold one group table per partition plus a merged copy. *)
+   materialized) combined row. *)
 
 let join_project ~group a b =
   Obs.span "join.project" @@ fun () ->
@@ -219,7 +143,7 @@ let join_project ~group a b =
   let acounts = Colrel.counts plan.ca and bcounts = Colrel.counts plan.cb in
   let live = Obs.enabled () in
   Obs.span "join.stream" (fun () ->
-      let heads, next = build_chains plan all in
+      let heads, next = build_chains plan in
       for i = 0 to Colrel.nrows plan.ca - 1 do
         if plan.lsig.(i) >= 0 then begin
           let j = ref (Intkey.Itab.find heads plan.lsig.(i) ~default:(-1)) in

@@ -1,16 +1,14 @@
 type t = {
   schema : Schema.t;
   rows : (Tuple.t * Count.t) array;
-  enc : Colrel.t option Atomic.t;
+  mutable enc : Colrel.t option;
       (* Memoized columnar encoding, filled on first use by a kernel.
          Per-value, not shared across derived relations (rename/scale/
          filter change what the encoding would be), so every constructor
-         mints a fresh cell. Atomic because joins encode on worker
-         domains; the race is benign — both encodings are correct, one
-         wins. *)
+         starts without one. *)
 }
 
-let mk schema rows = { schema; rows; enc = Atomic.make None }
+let mk schema rows = { schema; rows; enc = None }
 
 let sort_rows rows = Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows
 
@@ -22,11 +20,11 @@ let sort_rows rows = Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows
    sorting by [Tuple.compare] is the only canonicalization they need. *)
 
 let encoded r =
-  match Atomic.get r.enc with
+  match r.enc with
   | Some c -> c
   | None ->
       let c = Colrel.of_pairs r.schema r.rows in
-      Atomic.set r.enc (Some c);
+      r.enc <- Some c;
       c
 
 let of_encoded c =
@@ -180,6 +178,16 @@ let active_domain attr r =
   Array.iter (fun (tup, _) -> Value.Tbl.replace seen (Tuple.get tup pos) ()) r.rows;
   Value.Tbl.fold (fun v () acc -> v :: acc) seen []
   |> List.sort Value.compare
+
+let min_value attr r =
+  let pos = Schema.index attr r.schema in
+  Array.fold_left
+    (fun acc (tup, _) ->
+      let v = Tuple.get tup pos in
+      match acc with
+      | Some m when Value.compare m v <= 0 -> acc
+      | _ -> Some v)
+    None r.rows
 
 let equal a b =
   Schema.equal a.schema b.schema

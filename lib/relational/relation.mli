@@ -89,6 +89,10 @@ val max_frequency : over:Schema.t -> t -> Count.t
 val active_domain : Attr.t -> t -> Value.t list
 (** Distinct values of one attribute, sorted. *)
 
+val min_value : Attr.t -> t -> Value.t option
+(** The smallest value of one attribute ([None] when [r] is empty): the
+    head of {!active_domain} without building it. *)
+
 (** {1 Columnar boundary (storage layer)}
 
     The handshake between row relations and the dictionary-encoded

@@ -210,10 +210,10 @@ let analyze ~k ?(plans = []) cq db =
                   | Some i -> Tuple.get row i
                   | None -> (
                       match
-                        Relation.active_domain attr (Database.find relation db)
+                        Relation.min_value attr (Database.find relation db)
                       with
-                      | v :: _ -> v
-                      | [] -> Value.str "any")
+                      | Some v -> v
+                      | None -> Value.str "any")
                 in
                 Some
                   {

@@ -113,22 +113,13 @@ let local_sensitivity ?plans cq db =
   Obs.span "elastic.analyze" @@ fun () ->
   let db = Database.of_list (Cq.instance cq db) in
   let plan = plan_of_cq ?plans cq in
-  (* The memo table is a plain Hashtbl, so it cannot be shared across
-     domains: above one job each relation gets its own memo (re-deriving
-     some mf bounds, which are cheap); at one job the sequential path
-     keeps the shared table. Either way the bounds are exact functions
-     of (plan, attrs), so the results are identical. *)
+  (* One memo shared by every relation: their sensitivities ask for
+     many of the same mf bounds. *)
+  let mf = max_frequency_memo cq db in
   let per_relation =
-    if Exec.jobs () > 1 then
-      Exec.parallel_map_list
-        (fun r ->
-          (r, relation_sensitivity_with (max_frequency_memo cq db) cq plan r))
-        (Cq.relation_names cq)
-    else
-      let mf = max_frequency_memo cq db in
-      List.map
-        (fun r -> (r, relation_sensitivity_with mf cq plan r))
-        (Cq.relation_names cq)
+    List.map
+      (fun r -> (r, relation_sensitivity_with mf cq plan r))
+      (Cq.relation_names cq)
   in
   let local_sensitivity =
     List.fold_left (fun acc (_, c) -> Count.max acc c) Count.zero per_relation

@@ -25,9 +25,9 @@ let representative_domain cq db relation =
     match other_homes with
     | [] -> (
         (* Lonely attribute: a single arbitrary value suffices. *)
-        match Relation.active_domain attr base with
-        | v :: _ -> [ v ]
-        | [] -> [ Value.str "any" ])
+        match Relation.min_value attr base with
+        | Some v -> [ v ]
+        | None -> [ Value.str "any" ])
     | first :: rest ->
         List.fold_left
           (fun acc r ->
@@ -92,42 +92,30 @@ let local_sensitivity ?selection ?(max_candidates = 100_000) cq db =
       | _ -> Some (tuple, schema, delta)
     in
     (* Every probe re-evaluates the query on a database differing in one
-       tuple — independent and expensive, so the deltas fan out across
-       the pool. The folds below run in candidate order, keeping the
-       sequential tie-breaking (first strictly-better tuple wins). *)
+       tuple. Candidates are folded in order: the first strictly-better
+       tuple wins ties. *)
     (* Deletions: one copy of each existing distinct tuple. *)
-    let deletions =
-      Exec.parallel_map
-        (fun (tuple, _) ->
-          let removed = count_with cq db relation (Relation.remove tuple rel) in
-          (tuple, Count.of_int (base_count - removed)))
-        (Relation.rows rel)
-    in
     let best =
       Array.fold_left
-        (fun best (tuple, delta) -> consider best tuple delta)
-        None deletions
+        (fun best (tuple, _) ->
+          let removed = count_with cq db relation (Relation.remove tuple rel) in
+          consider best tuple (Count.of_int (base_count - removed)))
+        None (Relation.rows rel)
     in
-    (* Insertions: one copy of each representative-domain tuple.
-       Inadmissible candidates map to a zero delta, which [consider]
-       ignores. *)
+    (* Insertions: one copy of each admissible representative-domain
+       tuple. *)
     let candidates = representative_domain cq db relation in
     if List.length candidates > max_candidates then
       Errors.data_errorf
         "naive sensitivity: %d insertion candidates for %s exceed the limit %d"
         (List.length candidates) relation max_candidates;
-    let insertions =
-      Exec.parallel_map_list
-        (fun tuple ->
-          if not (admissible relation schema tuple) then (tuple, Count.zero)
-          else
-            let added = count_with cq db relation (Relation.add tuple rel) in
-            (tuple, Count.of_int (added - base_count)))
-        candidates
-    in
     List.fold_left
-      (fun best (tuple, delta) -> consider best tuple delta)
-      best insertions
+      (fun best tuple ->
+        if not (admissible relation schema tuple) then best
+        else
+          let added = count_with cq db relation (Relation.add tuple rel) in
+          consider best tuple (Count.of_int (added - base_count)))
+      best candidates
   in
   Sens_types.result_of_per_relation
     (List.map (fun r -> (r, best_for r)) (Cq.relation_names cq))

@@ -9,9 +9,9 @@ let witness_of db cq relation pinned =
     match List.assoc_opt attr pinned with
     | Some v -> v
     | None -> (
-        match Relation.active_domain attr base with
-        | v :: _ -> v
-        | [] -> Value.str "any")
+        match Relation.min_value attr base with
+        | Some v -> v
+        | None -> Value.str "any")
   in
   Tuple.of_list (List.map value_for (Schema.attrs (Cq.schema_of cq relation)))
 

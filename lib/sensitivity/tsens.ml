@@ -275,14 +275,9 @@ let run_component ?(skip = []) ghd db =
       (fun r -> not (List.exists (String.equal r) skip))
       (Cq.relation_names cq)
   in
-  (* Each relation's table depends only on the finished botjoin/topjoin
-     tables and the (persistent) database, so the per-relation work fans
-     out across the pool. The Hashtbls are only read here, which is safe
-     concurrently; result order follows [wanted] regardless of which
-     domain ran which relation. *)
   let tables =
     Obs.span "tsens.tables" @@ fun () ->
-    Exec.parallel_map_list
+    List.map
       (fun relation ->
         let v = Ghd.bag_of ghd relation in
         let co_members =
@@ -344,20 +339,27 @@ let run_component ?(skip = []) ghd db =
 
 (* ------------------------------------------------------------------ *)
 (* Witness extrapolation for attributes outside the multiplicity table:
-   lonely attributes take any value (paper Section 5.4). *)
+   lonely attributes take any value (paper Section 5.4) — the smallest
+   one in the relation's column, or ["any"] when it is empty. The
+   extender is built once per table, so the column minima are computed
+   once, not once per row. *)
 
-let extrapolate db cq relation row_schema row =
-  let atom_schema = Cq.schema_of cq relation in
+let extender db cq relation row_schema =
   let base = Database.find relation db in
-  let value_for attr =
-    match Schema.index_opt attr row_schema with
-    | Some i -> Tuple.get row i
-    | None -> (
-        match Relation.active_domain attr base with
-        | v :: _ -> v
-        | [] -> Value.str "any")
+  let value_of =
+    List.map
+      (fun attr ->
+        match Schema.index_opt attr row_schema with
+        | Some i -> fun row -> Tuple.get row i
+        | None ->
+            let v =
+              Option.value (Relation.min_value attr base)
+                ~default:(Value.str "any")
+            in
+            fun _ -> v)
+      (Schema.attrs (Cq.schema_of cq relation))
   in
-  Tuple.of_list (List.map value_for (Schema.attrs atom_schema))
+  fun row -> Tuple.of_list (List.map (fun f -> f row) value_of)
 
 (* Best admissible entry of a multiplicity table: the heaviest one whose
    extended tuple passes the selection (rows that fail have true
@@ -370,27 +372,17 @@ let best_of_table selection db cq relation table =
   | None ->
       Option.map
         (fun (row, count) ->
-          (extrapolate db cq relation (table_schema table) row,
-           atom_schema, count))
+          (extender db cq relation (table_schema table) row, atom_schema, count))
         (table_best table)
   | Some pred ->
       let materialized = materialize_table table in
-      let rows = Array.copy (Relation.rows materialized) in
-      Array.sort
-        (fun (t1, c1) (t2, c2) ->
-          match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
-        rows;
-      let admissible (row, _) =
-        let full =
-          extrapolate db cq relation (Relation.schema materialized) row
-        in
-        pred relation atom_schema full
-      in
-      Option.map
+      let extend = extender db cq relation (Relation.schema materialized) in
+      Array.find_map
         (fun (row, count) ->
-          ( extrapolate db cq relation (Relation.schema materialized) row,
-            atom_schema, count ))
-        (Array.find_opt admissible rows)
+          let full = extend row in
+          if pred relation atom_schema full then Some (full, atom_schema, count)
+          else None)
+        (desc_rows (Relation.rows materialized))
 
 (* ------------------------------------------------------------------ *)
 
@@ -457,10 +449,8 @@ let analyze ?selection ?(skip = []) ?(plans = []) cq db =
       (fun r -> Option.map (fun t -> (r, t)) (List.assoc_opt r tables))
       (Cq.relation_names cq)
   in
-  (* Independent per relation (selection scans can materialize a table
-     each); fan out and keep atom order. *)
   let bests =
-    Exec.parallel_map_list
+    List.map
       (fun (relation, table) ->
         (relation, best_of_table selection db cq relation table))
       tables
@@ -578,7 +568,7 @@ let top_sensitive a relation n =
   if n < 0 then invalid_arg "Tsens.top_sensitive: negative count";
   let table = find_table a relation in
   let atom_schema = Cq.schema_of a.query relation in
-  let extend row = extrapolate a.db a.query relation (table_schema table) row in
+  let extend = extender a.db a.query relation (table_schema table) in
   let admissible full =
     match a.selection with
     | None -> true
@@ -594,4 +584,4 @@ let instance_relation a relation = Database.find relation a.db
 
 let witness_tuple a relation row =
   let table = find_table a relation in
-  extrapolate a.db a.query relation (table_schema table) row
+  extender a.db a.query relation (table_schema table) row

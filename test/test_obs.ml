@@ -130,6 +130,46 @@ let test_project_saturation_counted () =
   Alcotest.(check int) "saturation counted" 1
     (match sat with Some t -> t.Obs.Report.total | None -> 0)
 
+(* Every span is recorded under its caller, including the joins that
+   build the dense multiplicity tables: [tsens.tables] must not report
+   its children's time as self time. Four atoms sharing A give dense
+   tables, each built by one [join_project_all]. *)
+let test_tables_spans_recorded () =
+  let open Tsens_relational in
+  let open Tsens_query in
+  let atoms = [ ("R", "B"); ("S", "C"); ("T", "D"); ("U", "E") ] in
+  let cq =
+    Cq.make ~name:"qobs" (List.map (fun (r, x) -> (r, [ "A"; x ])) atoms)
+  in
+  let db =
+    Database.of_list
+      (List.map
+         (fun (r, x) ->
+           ( r,
+             Relation.of_rows
+               ~schema:(Schema.of_list [ "A"; x ])
+               (List.map
+                  (fun (a, b) -> [ Value.Int a; Value.Int b ])
+                  [ (1, 1); (1, 2); (2, 1) ]) ))
+         atoms)
+  in
+  let analysis, report =
+    with_sink (fun () ->
+        let a = Tsens_sensitivity.Tsens.analyze cq db in
+        (a, Obs.Report.capture ()))
+  in
+  let dense =
+    snd (Tsens_sensitivity.Tsens.statistics analysis)
+    |> List.filter (fun t -> not t.Tsens_sensitivity.Tsens.factored)
+    |> List.length
+  in
+  Alcotest.(check bool) "some dense tables" true (dense >= 2);
+  let path = "tsens.analyze/tsens.tables/join.project_all" in
+  let calls =
+    match find_span report path with Some s -> s.Obs.Report.calls | None -> 0
+  in
+  Alcotest.(check int) "one recorded join per dense table" dense calls
+
 (* The sink feeds dashboards and BENCH_obs.json; keep the rendering
    stable without parsing: shape-check the JSON by substring. *)
 let test_json_shape () =
@@ -161,6 +201,8 @@ let () =
             test_span_nesting;
           Alcotest.test_case "values and exceptions" `Quick
             test_span_passes_value_and_exceptions;
+          Alcotest.test_case "tsens tables records its joins" `Quick
+            test_tables_spans_recorded;
         ] );
       ( "counters",
         [

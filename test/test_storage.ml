@@ -1,25 +1,13 @@
 (* The storage layer: the dictionary-encoded kernels checked against
    the nested-loop row reference in [Reference] (the "row" side of every
-   "columnar = row" property) at every job count, TSens checked against
-   the naive oracle on top of them, plus units for the dictionary, the
-   columnar boundary, the integer-key tables and the hash-quality
-   regressions that the radix partitioning leans on. *)
+   "columnar = row" property), TSens checked against the naive oracle on
+   top of them, plus units for the dictionary, the columnar boundary,
+   the integer-key tables and the hash-quality regressions that the
+   open-addressing tables lean on. *)
 
 open Tsens_relational
 open Tsens_query
 open Tsens_sensitivity
-
-let with_cutoff n f =
-  let saved = Exec.sequential_cutoff () in
-  Exec.set_sequential_cutoff n;
-  Fun.protect ~finally:(fun () -> Exec.set_sequential_cutoff saved) f
-
-(* [check (f ())] holds at jobs 1, 2 and 4, with the sequential cutoff
-   dropped so tiny QCheck relations still take the partition-parallel
-   kernels. *)
-let at_all_jobs check f =
-  with_cutoff 1 @@ fun () ->
-  List.for_all (fun j -> check (Exec.with_jobs j f)) [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernel equivalence properties *)
@@ -37,17 +25,13 @@ let prop_natural_join_modes =
     Tgen.print_relation_pair (fun (a, b) ->
       List.for_all
         (fun (a, b) ->
-          let expected = Reference.natural_join a b in
-          at_all_jobs
-            (fun r -> Reference.matches r expected)
-            (fun () -> Join.natural_join a b))
+          Reference.matches (Join.natural_join a b)
+            (Reference.natural_join a b))
         [ (a, b); (a, disjoint) ])
 
 let join_project_matches ~group a b =
-  let expected = Reference.join_project ~group a b in
-  at_all_jobs
-    (fun r -> Reference.matches r expected)
-    (fun () -> Join.join_project ~group a b)
+  Reference.matches (Join.join_project ~group a b)
+    (Reference.join_project ~group a b)
 
 let prop_join_project_modes =
   Tgen.qtest "join_project columnar = row" Tgen.joinable_pair_gen
@@ -69,8 +53,7 @@ let prop_count_join_modes =
     Tgen.print_relation_pair (fun (a, b) ->
       List.for_all
         (fun (a, b) ->
-          let expected = Reference.count_join a b in
-          at_all_jobs (Count.equal expected) (fun () -> Join.count_join a b))
+          Count.equal (Join.count_join a b) (Reference.count_join a b))
         [ (a, b); (a, disjoint) ])
 
 let prop_project_modes =
@@ -81,10 +64,8 @@ let prop_project_modes =
         | first :: _ -> Schema.of_list [ first ]
         | [] -> Schema.empty
       in
-      let expected = Reference.project target r in
-      at_all_jobs
-        (fun p -> Reference.matches p expected)
-        (fun () -> Relation.project target r))
+      Reference.matches (Relation.project target r)
+        (Reference.project target r))
 
 (* ------------------------------------------------------------------ *)
 (* Sensitivity: TSens over the kernels equals the naive oracle *)
@@ -108,17 +89,15 @@ let print_db db =
 let prop_tsens_naive =
   Tgen.qtest ~count:60 "tsens = naive" path_db_gen print_db (fun db ->
       let naive = Naive.local_sensitivity path_cq db in
-      at_all_jobs
-        (fun (r : Sens_types.result) ->
-          Count.equal r.local_sensitivity naive.local_sensitivity
-          && r.per_relation = naive.per_relation
-          &&
-          match r.witness with
-          | None -> r.local_sensitivity = 0
-          | Some w ->
-              Naive.tuple_sensitivity path_cq db w.relation w.tuple
-              = r.local_sensitivity)
-        (fun () -> Tsens.local_sensitivity path_cq db))
+      let r = Tsens.local_sensitivity path_cq db in
+      Count.equal r.local_sensitivity naive.local_sensitivity
+      && r.per_relation = naive.per_relation
+      &&
+      match r.witness with
+      | None -> r.local_sensitivity = 0
+      | Some w ->
+          Naive.tuple_sensitivity path_cq db w.relation w.tuple
+          = r.local_sensitivity)
 
 (* ------------------------------------------------------------------ *)
 (* Dictionary units *)
@@ -171,16 +150,13 @@ let prop_index_modes =
       let positions = Schema.positions ~sub:key (Relation.schema a) in
       (* Probe with every key of [a], present or not in [b]. *)
       let keys = List.map (fun (t, _) -> Tuple.project positions t) (Reference.rows a) in
-      at_all_jobs
-        (fun idx ->
-          List.for_all
-            (fun k ->
-              Count.equal (Index.group_count idx k)
-                (Reference.group_count ~key b k)
-              && List.sort compare (Array.to_list (Index.lookup idx k))
-                 = List.sort compare (Reference.lookup ~key b k))
-            keys)
-        (fun () -> Index.build ~key b))
+      let idx = Index.build ~key b in
+      List.for_all
+        (fun k ->
+          Count.equal (Index.group_count idx k) (Reference.group_count ~key b k)
+          && List.sort compare (Array.to_list (Index.lookup idx k))
+             = List.sort compare (Reference.lookup ~key b k))
+        keys)
 
 (* ------------------------------------------------------------------ *)
 (* Hash quality regressions *)

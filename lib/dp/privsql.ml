@@ -32,13 +32,13 @@ let validate config =
    smallest i such that (noisily) no key has frequency above i. The count
    of over-full keys changes by at most 1 when one tuple changes. *)
 let learn_frequency_cap rng ~epsilon ~ell rel key =
-  let groups =
-    Relation.project (Schema.of_list [ key ]) rel |> Relation.rows
-  in
+  (* Only the group sums matter, not which key holds them: they are
+     read off the projection's encoding, never decoded. *)
   let frequencies =
-    Array.map snd groups |> Array.to_list |> List.sort Count.compare
-    |> Array.of_list
+    Relation.project (Schema.of_list [ key ]) rel
+    |> Relation.encoded |> Colrel.counts |> Array.copy
   in
+  Array.sort Count.compare frequencies;
   let keys_above i =
     (* frequencies is ascending: count the suffix > i. *)
     let n = Array.length frequencies in

@@ -2,9 +2,8 @@
    join and group-by kernel. A relation becomes one [int array] per
    attribute (cells are {!Dict} ids) plus a parallel multiplicity array,
    so the kernels compare, hash and move nothing but immediate ints;
-   values are decoded back to [Value.t] only at the row-relation
-   boundary ({!decode_rows}), i.e. when a result becomes a
-   {!Relation.t} again.
+   values are decoded back to [Value.t] ({!decode_rows}) only when a
+   reader of a {!Relation.t} needs its rows.
 
    The row set of a [t] is distinct (one entry per distinct tuple):
    constructors either start from normalized relation rows or group

@@ -3,9 +3,9 @@
     The storage format of the join and group-by kernels: one [int array]
     of {!Dict} ids per attribute plus a parallel multiplicity array.
     Invariant: the row set is distinct (one entry per distinct tuple);
-    row *order* is unspecified — {!Relation.of_encoded} sorts when a
-    columnar result becomes a row relation again. Values decode back to
-    [Value.t] only at that boundary. *)
+    row *order* is unspecified and nothing relies on it — a kernel
+    result is passed on encoded ({!Relation.of_encoded}) and decoded to
+    [Value.t] rows, sorted, only when a reader needs rows. *)
 
 type t
 
@@ -29,7 +29,11 @@ val col : t -> int -> int array
 val counts : t -> Count.t array
 (** Per-row multiplicities. Owned by the relation: do not mutate. *)
 
+val decode_row : t -> int -> Tuple.t
+(** The tuple of row [i]. *)
+
 val decode_rows : t -> (Tuple.t * Count.t) array
+(** Every row, in storage order. *)
 
 (** {1 Key signatures}
 

@@ -1,8 +1,7 @@
 (** Hash indexes over a sub-schema of a relation.
 
-    An index groups the rows of a relation by their projection onto a key
-    schema. Semi-joins and PrivSQL's frequency truncation probe it; the
-    grouped counts double as frequency statistics. *)
+    An index sums the multiplicities of a relation's rows per projection
+    onto a key schema. PrivSQL's frequency truncation probes it. *)
 
 type t
 
@@ -10,13 +9,5 @@ val build : key:Schema.t -> Relation.t -> t
 (** Raises {!Errors.Schema_error} if [key] is not a subset of the
     relation's schema. An empty [key] puts every row in one group. *)
 
-val lookup : t -> Tuple.t -> (Tuple.t * Count.t) array
-(** The source relation's own rows whose key projection equals the given
-    key tuple, in the relation's row order; [[||]] if none. *)
-
 val group_count : t -> Tuple.t -> Count.t
 (** Summed multiplicity of the group, 0 if the key is absent. *)
-
-val max_group_count : t -> Count.t
-(** Largest group multiplicity — [mf] over the key schema. 0 if empty. *)
-

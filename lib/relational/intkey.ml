@@ -131,11 +131,6 @@ module Itab = struct
 
   let iter f t =
     Array.iteri (fun i k -> if k >= 0 then f k t.vals.(i)) t.keys
-
-  let fold f t init =
-    let acc = ref init in
-    iter (fun k v -> acc := f k v !acc) t;
-    !acc
 end
 
 (* ------------------------------------------------------------------ *)

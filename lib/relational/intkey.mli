@@ -42,7 +42,6 @@ module Itab : sig
 
   val length : t -> int
   val iter : (int -> int -> unit) -> t -> unit
-  val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 end
 
 (** Interns fixed-arity int vectors (multi-column join/group keys) into

@@ -1,11 +1,13 @@
 (* Bag-semantics joins over the dictionary-encoded storage. Both sides
-   are encoded once ({!Relation.encoded}, memoized), join keys become
-   single ints — the raw dictionary id for one-column keys, a dense
-   {!Intkey.Keydict} id for multi-column keys (built over the right
-   side, probed by the left; a probe miss is a guaranteed non-match) —
-   and the build/probe loops run over open-addressing int tables with
-   no boxed value in sight. Tuples reappear only when a result decodes
-   back through {!Relation.of_encoded}, which sorts them canonically. *)
+   are encoded once ({!Relation.encoded}, memoized; a kernel result
+   already is), join keys become single ints — the raw dictionary id
+   for one-column keys, a dense {!Intkey.Keydict} id for multi-column
+   keys (built over the right side, probed by the left; a probe miss is
+   a guaranteed non-match) — and the build/probe loops run over
+   open-addressing int tables with no boxed value in sight. Results are
+   handed back encoded ({!Relation.of_encoded}), in whatever order the
+   probe loop produced them: the next kernel reads them as they are,
+   and tuples are decoded and sorted only when a reader needs rows. *)
 
 let c_rows = Obs.counter "join.rows_emitted"
 let c_sat = Obs.counter "count.saturations"
@@ -63,12 +65,13 @@ let count_join a b =
 (* natural_join: materialize the combined rows. Every output row embeds
    its full left row, and two right partners of one left row that agreed
    on the key and every extra column would be the same (distinct) right
-   row — so outputs are distinct and go straight through
-   Relation.of_encoded with no grouping pass. *)
+   row — so outputs are distinct and go straight to Relation.of_encoded
+   with no grouping pass. *)
 
 (* Chained right-row index: [heads] maps a key id to the most recently
    seen right row, [next] threads the rest. Probing walks newest-first;
-   output order is canonicalized later, so chain order is irrelevant. *)
+   no reader depends on the encoding's row order, so chain order is
+   irrelevant. *)
 let build_chains plan =
   let nb = Colrel.nrows plan.cb in
   let heads = Intkey.Itab.create (max 16 nb) in
@@ -235,13 +238,3 @@ let join_project_all ~group rels =
             loop (join_project ~group:keep acc r) later
       in
       loop first rest
-
-let semijoin a b =
-  let common = Schema.inter (Relation.schema a) (Relation.schema b) in
-  let positions = Schema.positions ~sub:common (Relation.schema a) in
-  let idx = Index.build ~key:common b in
-  Relation.filter
-    (fun _schema tup ->
-      Index.group_count idx (Tuple.project positions tup) > 0)
-    a
-

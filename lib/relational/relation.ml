@@ -1,36 +1,46 @@
-type t = {
-  schema : Schema.t;
-  rows : (Tuple.t * Count.t) array;
-  mutable enc : Colrel.t option;
-      (* Memoized columnar encoding, filled on first use by a kernel.
-         Per-value, not shared across derived relations (rename/scale/
-         filter change what the encoding would be), so every constructor
-         starts without one. *)
-}
+(* A relation holds its sorted rows, its columnar encoding, or both;
+   each is computed from the other on first use and kept. Kernel outputs
+   start encoded only ({!of_encoded}), every other constructor starts
+   with rows. The two need not agree on row order: rows are sorted by
+   [Tuple.compare], the encoding's order is whatever built it. *)
+type repr =
+  | Rows of (Tuple.t * Count.t) array
+  | Encoded of Colrel.t
+  | Both of (Tuple.t * Count.t) array * Colrel.t
 
-let mk schema rows = { schema; rows; enc = None }
+type t = { schema : Schema.t; mutable repr : repr }
+
+let mk schema rows = { schema; repr = Rows rows }
 
 let sort_rows rows = Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows
 
+let c_decoded = Obs.counter "relation.rows_decoded"
+
 (* ------------------------------------------------------------------ *)
-(* The columnar boundary. [encoded] is the encode direction, memoized on
-   the relation; its rows are [r.rows] in order, which is what lets
-   {!Index.lookup} hand out the relation's own rows. [of_encoded] is the
-   decode direction for kernel outputs, which are distinct but unsorted:
-   sorting by [Tuple.compare] is the only canonicalization they need. *)
+(* The columnar boundary. [encoded] interns the rows; [rows] decodes a
+   kernel output and sorts it, the only canonicalization it needs since
+   kernel outputs are distinct. Readers that see only counts answer from
+   whichever side is present, so a kernel -> kernel chain never decodes. *)
 
 let encoded r =
-  match r.enc with
-  | Some c -> c
-  | None ->
-      let c = Colrel.of_pairs r.schema r.rows in
-      r.enc <- Some c;
+  match r.repr with
+  | Encoded c | Both (_, c) -> c
+  | Rows rows ->
+      let c = Colrel.of_pairs r.schema rows in
+      r.repr <- Both (rows, c);
       c
 
-let of_encoded c =
-  let rows = Colrel.decode_rows c in
-  sort_rows rows;
-  mk (Colrel.schema c) rows
+let rows r =
+  match r.repr with
+  | Rows rows | Both (rows, _) -> rows
+  | Encoded c ->
+      let rows = Colrel.decode_rows c in
+      sort_rows rows;
+      Obs.add c_decoded (Array.length rows);
+      r.repr <- Both (rows, c);
+      rows
+
+let of_encoded c = { schema = Colrel.schema c; repr = Encoded c }
 
 (* Merge duplicate tuples and sort: the canonical form all constructors
    funnel through. Sorting puts equal tuples next to each other, so one
@@ -72,20 +82,26 @@ let of_rows ~schema rows =
 let empty schema = mk schema [||]
 
 let schema r = r.schema
-let rows r = r.rows
 
 let cardinality r =
-  Array.fold_left (fun acc (_, c) -> Count.add acc c) Count.zero r.rows
+  match r.repr with
+  | Rows rows | Both (rows, _) ->
+      Array.fold_left (fun acc (_, c) -> Count.add_tracked acc c) Count.zero rows
+  | Encoded c -> Array.fold_left Count.add_tracked Count.zero (Colrel.counts c)
 
-let distinct_count r = Array.length r.rows
-let is_empty r = Array.length r.rows = 0
+let distinct_count r =
+  match r.repr with
+  | Rows rows | Both (rows, _) -> Array.length rows
+  | Encoded c -> Colrel.nrows c
+
+let is_empty r = distinct_count r = 0
 
 (* Rows are sorted, so point lookups binary-search. *)
-let find_index tup r =
-  let lo = ref 0 and hi = ref (Array.length r.rows - 1) and res = ref (-1) in
+let find_index tup rows =
+  let lo = ref 0 and hi = ref (Array.length rows - 1) and res = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = Tuple.compare (fst r.rows.(mid)) tup in
+    let c = Tuple.compare (fst rows.(mid)) tup in
     if c = 0 then begin
       res := mid;
       lo := !hi + 1
@@ -95,21 +111,24 @@ let find_index tup r =
   done;
   !res
 
-let mem tup r = find_index tup r >= 0
-let count_of tup r = match find_index tup r with -1 -> 0 | i -> snd r.rows.(i)
+let mem tup r = find_index tup (rows r) >= 0
+
+let count_of tup r =
+  let rows = rows r in
+  match find_index tup rows with -1 -> 0 | i -> snd rows.(i)
 
 let fold f r init =
-  Array.fold_left (fun acc (tup, cnt) -> f tup cnt acc) init r.rows
+  Array.fold_left (fun acc (tup, cnt) -> f tup cnt acc) init (rows r)
 
-let iter f r = Array.iter (fun (tup, cnt) -> f tup cnt) r.rows
+let iter f r = Array.iter (fun (tup, cnt) -> f tup cnt) (rows r)
 
 let c_projected = Obs.counter "relation.rows_projected"
 
 (* Column selection is array indexing and the group-by runs on ids: no
-   per-row tuple is built until the result decodes. *)
+   per-row tuple is built, and the result stays encoded. *)
 let project target r =
   Obs.span "relation.project" @@ fun () ->
-  Obs.add c_projected (Array.length r.rows);
+  Obs.add c_projected (distinct_count r);
   if not (Schema.subset target r.schema) then
     Errors.schema_errorf "project: %a is not a subset of %a" Schema.pp target
       Schema.pp r.schema;
@@ -118,19 +137,42 @@ let project target r =
 
 let filter pred r =
   let rows =
-    Array.to_list r.rows |> List.filter (fun (tup, _) -> pred r.schema tup)
+    Array.to_list (rows r) |> List.filter (fun (tup, _) -> pred r.schema tup)
   in
   mk r.schema (Array.of_list rows)
 
-let rename mapping r = mk (Schema.rename mapping r.schema) r.rows
+(* Map both sides of a relation, whichever are present. *)
+let map_repr on_rows on_enc = function
+  | Rows rows -> Rows (on_rows rows)
+  | Encoded c -> Encoded (on_enc c)
+  | Both (rows, c) -> Both (on_rows rows, on_enc c)
+
+(* The same id columns under another schema or other counts. *)
+let recode ~schema ~counts c =
+  Colrel.make ~schema ~cols:(Array.init (Colrel.arity c) (Colrel.col c)) ~counts
+
+(* Renaming changes neither the tuples nor their order. *)
+let rename mapping r =
+  let schema = Schema.rename mapping r.schema in
+  let repr =
+    map_repr Fun.id (fun c -> recode ~schema ~counts:(Colrel.counts c) c) r.repr
+  in
+  { schema; repr }
 
 let scale factor r =
   if factor <= 0 then Errors.data_errorf "scale: non-positive factor %d" factor;
-  mk r.schema (Array.map (fun (t, c) -> (t, Count.mul c factor)) r.rows)
+  let times cnt = Count.mul cnt factor in
+  let repr =
+    map_repr
+      (Array.map (fun (t, cnt) -> (t, times cnt)))
+      (fun c -> recode ~schema:r.schema ~counts:(Array.map times (Colrel.counts c)) c)
+      r.repr
+  in
+  { schema = r.schema; repr }
 
 let add ?(count = 1) tup r =
   check_row r.schema (tup, count);
-  normalize r.schema ((tup, count) :: Array.to_list r.rows)
+  normalize r.schema ((tup, count) :: Array.to_list (rows r))
 
 (* Clamp semantics: removing more copies than are stored empties the row
    and leaves the rest of the relation untouched. The alternative —
@@ -142,12 +184,13 @@ let remove ?(count = 1) tup r =
   if count <= 0 then
     Errors.data_errorf "remove: non-positive count %d for tuple %a" count
       Tuple.pp tup;
-  match find_index tup r with
+  let rows = rows r in
+  match find_index tup rows with
   | -1 -> r
   | i ->
-      let existing = snd r.rows.(i) in
+      let existing = snd rows.(i) in
       let remaining = if count >= existing then 0 else existing - count in
-      let rows = Array.to_list r.rows in
+      let rows = Array.to_list rows in
       let rows =
         List.filteri (fun j _ -> j <> i) rows
         |> fun rest ->
@@ -155,13 +198,32 @@ let remove ?(count = 1) tup r =
       in
       normalize r.schema rows
 
+(* The largest count is found in the integer domain; only the rows tied
+   at it are decoded, and the smallest of them wins, as it does on the
+   sorted rows. *)
 let max_row r =
-  Array.fold_left
-    (fun best (tup, cnt) ->
-      match best with
-      | None -> Some (tup, cnt)
-      | Some (_, best_cnt) -> if cnt > best_cnt then Some (tup, cnt) else best)
-    None r.rows
+  match r.repr with
+  | Rows rows | Both (rows, _) ->
+      Array.fold_left
+        (fun best (tup, cnt) ->
+          match best with
+          | None -> Some (tup, cnt)
+          | Some (_, best_cnt) ->
+              if cnt > best_cnt then Some (tup, cnt) else best)
+        None rows
+  | Encoded c ->
+      let counts = Colrel.counts c in
+      let top = Array.fold_left Count.max Count.zero counts in
+      let best = ref None in
+      Array.iteri
+        (fun i cnt ->
+          if cnt = top then
+            let tup = Colrel.decode_row c i in
+            match !best with
+            | Some (b, _) when Tuple.compare b tup <= 0 -> ()
+            | _ -> best := Some (tup, cnt))
+        counts;
+      !best
 
 (* Only the largest group sum is needed, so the groups stay in the
    integer domain: nothing is decoded or sorted. *)
@@ -175,7 +237,9 @@ let max_frequency ~over r =
 let active_domain attr r =
   let pos = Schema.index attr r.schema in
   let seen = Value.Tbl.create 64 in
-  Array.iter (fun (tup, _) -> Value.Tbl.replace seen (Tuple.get tup pos) ()) r.rows;
+  Array.iter
+    (fun (tup, _) -> Value.Tbl.replace seen (Tuple.get tup pos) ())
+    (rows r);
   Value.Tbl.fold (fun v () acc -> v :: acc) seen []
   |> List.sort Value.compare
 
@@ -187,19 +251,18 @@ let min_value attr r =
       match acc with
       | Some m when Value.compare m v <= 0 -> acc
       | _ -> Some v)
-    None r.rows
+    None (rows r)
 
 let equal a b =
   Schema.equal a.schema b.schema
-  && Array.length a.rows = Array.length b.rows
+  && distinct_count a = distinct_count b
   && Array.for_all2
        (fun (t1, c1) (t2, c2) -> Tuple.equal t1 t2 && Count.equal c1 c2)
-       a.rows b.rows
+       (rows a) (rows b)
 
 (* [Cq.instance] reorders every atom's columns, often to the order they
-   are already stored in. Rows are canonical, so returning [r]
-   unchanged is exact and avoids re-sorting an already canonical
-   relation (it also keeps the memoized encoding). *)
+   are already stored in. Returning [r] unchanged then is exact and
+   keeps whatever [r] has computed. *)
 let reorder target r =
   if Schema.equal target r.schema then r
   else begin
@@ -208,7 +271,7 @@ let reorder target r =
         Schema.pp target Schema.pp r.schema;
     let positions = Schema.positions ~sub:target r.schema in
     normalize target
-      (Array.to_list r.rows
+      (Array.to_list (rows r)
       |> List.map (fun (tup, cnt) -> (Tuple.project positions tup, cnt)))
   end
 
@@ -219,7 +282,7 @@ let pp ppf r =
   Format.fprintf ppf "@[<v>%a | cnt@," Schema.pp r.schema;
   Array.iter
     (fun (tup, cnt) -> Format.fprintf ppf "%a | %a@," Tuple.pp tup Count.pp cnt)
-    r.rows;
+    (rows r);
   Format.fprintf ppf "@]"
 
 let pp_summary ppf r =

@@ -7,8 +7,11 @@
     counts, and group-by sums them.
 
     Construction normalizes: duplicate tuples are merged (counts summed)
-    and rows are sorted, so equal bags have equal representations and all
-    iteration orders are deterministic. *)
+    and rows are sorted, so equal bags have equal rows and all iteration
+    orders are deterministic. A kernel result ({!of_encoded}) stays in
+    its columnar encoding until a reader needs its rows; readers that see
+    only counts ({!cardinality}, {!distinct_count}, {!is_empty},
+    {!max_frequency}, {!max_row}, {!project}, {!scale}) never decode it. *)
 
 type t
 
@@ -31,11 +34,14 @@ val empty : Schema.t -> t
 val schema : t -> Schema.t
 
 val rows : t -> (Tuple.t * Count.t) array
-(** The normalized rows, sorted by {!Tuple.compare}. The returned array is
+(** The normalized rows, sorted by {!Tuple.compare}. A kernel result is
+    decoded and sorted on the first call (counted by
+    [relation.rows_decoded]) and keeps its rows. The returned array is
     owned by the relation: callers must not mutate it. *)
 
 val cardinality : t -> Count.t
-(** Bag cardinality: sum of multiplicities (saturating). *)
+(** Bag cardinality: sum of multiplicities (saturating; a sum that
+    saturates ticks [count.saturations]). *)
 
 val distinct_count : t -> int
 val is_empty : t -> bool
@@ -78,7 +84,8 @@ val remove : ?count:Count.t -> Tuple.t -> t -> t
 
 val max_row : t -> (Tuple.t * Count.t) option
 (** Row with the largest multiplicity; ties broken by {!Tuple.compare}
-    (smallest tuple wins) for determinism. [None] on the empty relation. *)
+    (smallest tuple wins) for determinism. [None] on the empty relation.
+    On an undecoded kernel result only the tied rows are decoded. *)
 
 val max_frequency : over:Schema.t -> t -> Count.t
 (** Largest multiplicity of any combination of values of the [over]
@@ -101,13 +108,15 @@ val min_value : Attr.t -> t -> Value.t option
 
 val encoded : t -> Colrel.t
 (** The columnar encoding of the relation, computed on first use and
-    memoized on the value. Row [i] of the encoding is [(rows r).(i)]. *)
+    kept on the value. Its row order is unspecified: nothing pairs row
+    [i] of the encoding with [(rows r).(i)]. *)
 
 val of_encoded : Colrel.t -> t
-(** Materialize a kernel output. The input rows must be distinct
-    (which {!Colrel}'s constructors guarantee); sorting by
-    {!Tuple.compare} is the only canonicalization applied, so the result
-    is bit-identical to funneling the decoded rows through {!create}. *)
+(** Wrap a kernel output without decoding it. The input rows must be
+    distinct (which {!Colrel}'s constructors guarantee). When a reader
+    needs rows they are decoded and sorted by {!Tuple.compare}, the only
+    canonicalization applied, so every reader sees what it would after
+    funneling the decoded rows through {!create}. *)
 
 (** {1 Comparison and printing} *)
 

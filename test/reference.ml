@@ -64,17 +64,18 @@ let count_join a b =
 
 let project target r = (target, project_rows target (Relation.schema r) (rows r))
 
-(* Index scan: the rows of [r] whose [key] projection equals [k]. *)
-let lookup ~key r k =
-  let schema = Relation.schema r in
-  List.filter
-    (fun (t, _) ->
-      List.for_all2 (fun x v -> get schema x t = v) (Schema.attrs key)
-        (Array.to_list k))
-    (rows r)
-
+(* Index scan: the summed counts of the rows of [r] whose [key]
+   projection equals [k]. *)
 let group_count ~key r k =
-  List.fold_left (fun acc (_, c) -> Count.add acc c) Count.zero (lookup ~key r k)
+  let schema = Relation.schema r in
+  List.fold_left
+    (fun acc (t, c) ->
+      if
+        List.for_all2 (fun x v -> get schema x t = v) (Schema.attrs key)
+          (Array.to_list k)
+      then Count.add acc c
+      else acc)
+    Count.zero (rows r)
 
 (* A kernel result equals a reference bag: same schema, same rows. *)
 let matches r (schema, bag) =

@@ -97,6 +97,87 @@ let test_whole_pipeline_deterministic () =
     "bit-identical replays" r1 r2
 
 (* ------------------------------------------------------------------ *)
+(* Pinned answers on one TPC-H instance: LS, the witness, per-relation
+   maxima and the five most sensitive tuples of every relation, for the
+   acyclic q1 and the cyclic q3. Ties among equal counts are broken by
+   tuple order, so a tie-break that followed storage order would move
+   these literals. *)
+
+let pinned =
+  [
+    ( "q1", Queries.q1, 724, ("Region", "(2)"),
+      [ ("Region", 724); ("Nation", 276); ("Customer", 89); ("Orders", 8);
+        ("Lineitem", 1) ],
+      [
+        ("Region", [ "(2)=724"; "(4)=675"; "(0)=673"; "(1)=502"; "(3)=426" ]);
+        ( "Nation",
+          [ "(0, 14)=276"; "(1, 14)=276"; "(2, 14)=276"; "(3, 14)=276";
+            "(4, 14)=276" ] );
+        ( "Customer",
+          [ "(0, 44)=89"; "(1, 44)=89"; "(2, 44)=89"; "(3, 44)=89";
+            "(4, 44)=89" ] );
+        ( "Orders",
+          [ "(0, 37)=8"; "(0, 167)=8"; "(0, 177)=8"; "(0, 344)=8";
+            "(0, 352)=8" ] );
+        ( "Lineitem",
+          [ "(0, 0, 0)=1"; "(1, 0, 0)=1"; "(2, 0, 0)=1"; "(3, 0, 0)=1";
+            "(4, 0, 0)=1" ] );
+      ] );
+    ( "q3", Queries.q3, 102, ("Supplier", "(14, 4)"),
+      [ ("Nation", 55); ("Supplier", 102); ("Partsupp", 3); ("Part", 10);
+        ("Region", 100); ("Customer", 47); ("Orders", 12); ("Lineitem", 3) ],
+      [
+        ( "Nation",
+          [ "(0, 19)=55"; "(1, 19)=55"; "(2, 19)=55"; "(3, 19)=55";
+            "(4, 19)=55" ] );
+        ( "Supplier",
+          [ "(14, 4)=102"; "(14, 1)=99"; "(14, 2)=88"; "(14, 3)=82";
+            "(20, 1)=80" ] );
+        ( "Partsupp",
+          [ "(0, 59)=3"; "(4, 24)=3"; "(4, 56)=3"; "(0, 16)=2"; "(0, 25)=2" ] );
+        ("Part", [ "(24)=10"; "(59)=10"; "(56)=8"; "(15)=6"; "(16)=6" ]);
+        ("Region", [ "(0)=100"; "(4)=55"; "(2)=41"; "(1)=39" ]);
+        ( "Customer",
+          [ "(22, 39)=47"; "(0, 44)=39"; "(0, 37)=33"; "(22, 1)=33";
+            "(0, 15)=31" ] );
+        ( "Orders",
+          [ "(8, 246)=12"; "(23, 344)=12"; "(30, 246)=12"; "(55, 344)=12";
+            "(58, 246)=12" ] );
+        ( "Lineitem",
+          [ "(10, 0, 94)=3"; "(10, 0, 97)=3"; "(12, 0, 94)=3"; "(12, 0, 97)=3";
+            "(14, 4, 24)=3" ] );
+      ] );
+  ]
+
+let test_pinned_answers () =
+  let db = Tpch.generate ~seed:42 ~scale:0.0005 () in
+  let show_tuple = Format.asprintf "%a" Tuple.pp in
+  List.iter
+    (fun (name, cq, ls, (wrel, wtuple), per_relation, tops) ->
+      let a = Tsens.analyze ~plans:Queries.tpch_plans cq db in
+      let r = Tsens.result a in
+      Alcotest.(check int) (name ^ " LS") ls r.Sens_types.local_sensitivity;
+      Alcotest.(check (option (pair string string)))
+        (name ^ " witness")
+        (Some (wrel, wtuple))
+        (Option.map
+           (fun w -> (w.Sens_types.relation, show_tuple w.Sens_types.tuple))
+           r.Sens_types.witness);
+      Alcotest.(check (list (pair string int)))
+        (name ^ " per-relation maxima")
+        per_relation r.Sens_types.per_relation;
+      List.iter
+        (fun (relation, expected) ->
+          Alcotest.(check (list string))
+            (name ^ " top " ^ relation)
+            expected
+            (List.map
+               (fun (t, c) -> Printf.sprintf "%s=%d" (show_tuple t) c)
+               (Tsens.top_sensitive a relation 5)))
+        tops)
+    pinned
+
+(* ------------------------------------------------------------------ *)
 (* The Facebook pipeline: generator → per-query databases → sensitivity
    consistency between the two cyclic decompositions and the oracle. *)
 
@@ -198,5 +279,6 @@ let () =
           Alcotest.test_case "selection pipeline" `Quick
             test_selection_pipeline;
           Alcotest.test_case "sat pipeline" `Quick test_sat_pipeline;
+          Alcotest.test_case "pinned answers" `Quick test_pinned_answers;
         ] );
     ]

@@ -130,6 +130,81 @@ let test_project_saturation_counted () =
   Alcotest.(check int) "saturation counted" 1
     (match sat with Some t -> t.Obs.Report.total | None -> 0)
 
+let saturations report =
+  match find_total report.Obs.Report.counters "count.saturations" with
+  | Some t -> t.Obs.Report.total
+  | None -> 0
+
+(* Two finite counts whose sum passes max_int: the bag cardinality
+   saturates, whether it is summed over rows, over an undecoded
+   encoding, or asked for as the mf over no attributes. *)
+let test_cardinality_saturation_counted () =
+  let open Tsens_relational in
+  let r =
+    Relation.create
+      ~schema:(Schema.of_attrs [ "A" ])
+      [
+        (Tuple.of_list [ Value.Int 1 ], Count.max_count - 1);
+        (Tuple.of_list [ Value.Int 2 ], 5);
+      ]
+  in
+  let encoded = Relation.of_encoded (Relation.encoded r) in
+  List.iter
+    (fun (what, f) ->
+      let total, report =
+        with_sink (fun () ->
+            let c = f () in
+            (c, Obs.Report.capture ()))
+      in
+      Alcotest.(check bool) (what ^ " saturated") true (Count.is_saturated total);
+      Alcotest.(check int) (what ^ " counted once") 1 (saturations report))
+    [
+      ("rows", fun () -> Relation.cardinality r);
+      ("encoding", fun () -> Relation.cardinality encoded);
+      ("mf over nothing", fun () -> Relation.max_frequency ~over:Schema.empty r);
+    ]
+
+(* Kernel results stay encoded: counting and analyzing decode no row.
+   The first tuple-sensitivity probe of a dense table decodes that table
+   once, and nothing else. *)
+let test_rows_decoded_counted () =
+  let open Tsens_relational in
+  let open Tsens_sensitivity in
+  let open Tsens_workload in
+  let decoded report =
+    match find_total report.Obs.Report.counters "relation.rows_decoded" with
+    | Some t -> t.Obs.Report.total
+    | None -> 0
+  in
+  let db = Tpch.generate ~seed:42 ~scale:0.0005 () in
+  let plans = Queries.tpch_plans and cq = Queries.q3 in
+  let analysis, report =
+    with_sink (fun () ->
+        ignore (Yannakakis.count ~plans cq db);
+        let a = Tsens.analyze ~plans cq db in
+        (a, Obs.Report.capture ()))
+  in
+  Alcotest.(check int) "count and analyze decode nothing" 0 (decoded report);
+  let dense =
+    List.find
+      (fun t -> not t.Tsens.factored)
+      (snd (Tsens.statistics analysis))
+  in
+  Alcotest.(check bool) "the dense table has rows" true
+    (dense.Tsens.table_rows > 0);
+  let relation = dense.Tsens.table_relation in
+  let tuple =
+    fst (Relation.rows (Tsens.instance_relation analysis relation)).(0)
+  in
+  let report =
+    with_sink (fun () ->
+        ignore (Tsens.tuple_sensitivity analysis relation tuple);
+        ignore (Tsens.tuple_sensitivity analysis relation tuple);
+        Obs.Report.capture ())
+  in
+  Alcotest.(check int) "one probe decodes the dense table once"
+    dense.Tsens.table_rows (decoded report)
+
 (* Every span is recorded under its caller, including the joins that
    build the dense multiplicity tables: [tsens.tables] must not report
    its children's time as self time. Four atoms sharing A give dense
@@ -214,6 +289,10 @@ let () =
             test_reset_clears_but_keeps_handles;
           Alcotest.test_case "project saturation counted" `Quick
             test_project_saturation_counted;
+          Alcotest.test_case "cardinality saturation counted" `Quick
+            test_cardinality_saturation_counted;
+          Alcotest.test_case "rows decoded counted" `Quick
+            test_rows_decoded_counted;
         ] );
       ( "report",
         [ Alcotest.test_case "json shape" `Quick test_json_shape ] );

@@ -31,16 +31,17 @@ let schema_gen =
     let attrs = if attrs = [] then [ "A" ] else attrs in
     return (Schema.of_list attrs))
 
-let relation_of_schema_gen schema =
+(* Row counts are drawn from 1..[max_count]. *)
+let relation_of_schema_gen ?(max_count = 3) schema =
   QCheck2.Gen.(
     list_size (int_range 0 12)
-      (pair (tuple_gen (Schema.arity schema)) (int_range 1 3))
+      (pair (tuple_gen (Schema.arity schema)) (int_range 1 max_count))
     >>= fun rows -> return (Relation.create ~schema rows))
 
 let relation_gen = QCheck2.Gen.(schema_gen >>= relation_of_schema_gen)
 
 (* A pair of relations guaranteed to share at least one attribute. *)
-let joinable_pair_gen =
+let joinable_pair_of ?max_count () =
   QCheck2.Gen.(
     schema_gen >>= fun s1 ->
     schema_gen >>= fun s2 ->
@@ -49,8 +50,10 @@ let joinable_pair_gen =
         Schema.union s2 (Schema.of_list [ List.hd (Schema.attrs s1) ])
       else s2
     in
-    relation_of_schema_gen s1 >>= fun r1 ->
-    relation_of_schema_gen s2 >>= fun r2 -> return (r1, r2))
+    relation_of_schema_gen ?max_count s1 >>= fun r1 ->
+    relation_of_schema_gen ?max_count s2 >>= fun r2 -> return (r1, r2))
+
+let joinable_pair_gen = joinable_pair_of ()
 
 let print_relation r = Format.asprintf "%a" Relation.pp r
 

@@ -18,7 +18,7 @@ let run ~seed ~scale =
   in
   let result = Tsens.result analysis in
   let elastic_plan = Elastic.plan_of_cq ~plans:[ Queries.q3_ghd ] Queries.q3 in
-  let instance = Database.of_list (Tsens_query.Cq.instance Queries.q3 db) in
+  let instance = Sens_types.instance Queries.q3 db in
   let rows =
     List.map
       (fun (relation, tuple_sens) ->

@@ -75,7 +75,7 @@ let run rng config ?plans cq db =
   if not (Cq.mem_relation cq config.private_relation) then
     Errors.schema_errorf "Privsql: %s is not in query %s"
       config.private_relation (Cq.name cq);
-  let db = Database.of_list (Cq.instance cq db) in
+  let db = Sens_types.instance cq db in
   let true_answer = Yannakakis.count ?plans cq db in
   let epsilon_threshold = config.epsilon *. config.threshold_fraction in
   let epsilon_answer = config.epsilon -. epsilon_threshold in

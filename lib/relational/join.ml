@@ -37,31 +37,6 @@ let make_plan a b =
   { combined; ca; cb; lsig; rsig; right_extra }
 
 (* ------------------------------------------------------------------ *)
-(* count_join: |a ⋈ b| without materializing anything. Per key id the
-   right side contributes a summed multiplicity; each left row adds
-   count(left) * that sum. *)
-
-let count_join a b =
-  Obs.span "join.count" @@ fun () ->
-  let plan = make_plan a b in
-  Obs.span "join.stream" @@ fun () ->
-  let nb = Colrel.nrows plan.cb and na = Colrel.nrows plan.ca in
-  let bcounts = Colrel.counts plan.cb and acounts = Colrel.counts plan.ca in
-  let tab = Intkey.Itab.create (max 16 nb) in
-  for j = 0 to nb - 1 do
-    Intkey.Itab.add_count tab plan.rsig.(j) bcounts.(j)
-  done;
-  let total = ref Count.zero in
-  for i = 0 to na - 1 do
-    if plan.lsig.(i) >= 0 then begin
-      let group = Intkey.Itab.find tab plan.lsig.(i) ~default:0 in
-      if group > 0 then
-        total := Count.add_tracked !total (Count.mul acounts.(i) group)
-    end
-  done;
-  !total
-
-(* ------------------------------------------------------------------ *)
 (* natural_join: materialize the combined rows. Every output row embeds
    its full left row, and two right partners of one left row that agreed
    on the key and every extra column would be the same (distinct) right

@@ -26,7 +26,3 @@ val join_project_all : group:Schema.t -> Relation.t list -> Relation.t
     attributes still needed (those in [group] or in a yet-unjoined
     relation); the last join groups by [group] directly. Equivalent to
     [Relation.project group (join_all rels)] with smaller intermediates. *)
-
-val count_join : Relation.t -> Relation.t -> Count.t
-(** Bag cardinality of the natural join, computed without materializing
-    output tuples. *)

@@ -6,17 +6,10 @@ open Tsens_query
    >= default. *)
 type approx = { rel : Relation.t; default : Count.t }
 
-let unit_relation =
-  Relation.create ~schema:Schema.empty [ (Tuple.of_list [], Count.one) ]
-
 let compress k r =
   if Relation.distinct_count r <= k then { rel = r; default = Count.zero }
   else begin
-    let rows = Array.copy (Relation.rows r) in
-    Array.sort
-      (fun (t1, c1) (t2, c2) ->
-        match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
-      rows;
+    let rows = Sens_types.heaviest_first r in
     let kept = Array.to_list (Array.sub rows 0 k) in
     (* Every dropped row's count is at most the heaviest dropped one. *)
     let default = snd rows.(k) in
@@ -63,8 +56,6 @@ let default_bound parts =
     (Count.zero, 0) parts
   |> fst
 
-let shared_schema = Tsens.shared_schema
-
 type component_tables = {
   bounds : (string * (Tuple.t option * Count.t)) list;
       (* per relation: heaviest explicit row (if any) and the bound *)
@@ -106,7 +97,7 @@ let run_component ~k ghd db =
       match Join_tree.parent tree v with
       | None ->
           Hashtbl.replace topjoins v
-            { rel = unit_relation; default = Count.zero }
+            { rel = Sens_types.unit_relation; default = Count.zero }
       | Some p ->
           let anchor = base p in
           let completed =
@@ -135,8 +126,8 @@ let run_component ~k ghd db =
         in
         let explicit =
           Join.join_project_all
-            ~group:(shared_schema cq relation)
-            (unit_relation :: List.map (fun p -> p.rel) parts)
+            ~group:(Tsens.shared_schema cq relation)
+            (Sens_types.unit_relation :: List.map (fun p -> p.rel) parts)
         in
         let explicit_best = Relation.max_row explicit in
         let bound =
@@ -149,22 +140,14 @@ let run_component ~k ghd db =
   in
   { bounds; intermediate_rows = !intermediates }
 
-let plan_for plans component =
-  match Yannakakis.find_plan plans component with
-  | Some g -> g
-  | None -> (
-      match Join_tree.of_cq component with
-      | Some jt -> Ghd.of_join_tree jt
-      | None -> Ghd.auto component)
-
 let analyze ~k ?(plans = []) cq db =
   if k < 1 then invalid_arg "Approx: k must be at least 1";
-  let db = Database.of_list (Cq.instance cq db) in
+  let db = Sens_types.instance cq db in
   let components = Cq.components cq in
   let runs =
     List.map
       (fun component ->
-        (component, run_component ~k (plan_for plans component) db))
+        (component, run_component ~k (Yannakakis.plan plans component) db))
       components
   in
   (* Cross-component scaling uses exact component sizes: the scaling is a
@@ -203,25 +186,15 @@ let analyze ~k ?(plans = []) cq db =
             | Some w when w.Sens_types.sensitivity >= bound -> acc
             | _ ->
                 (* Extend the explicit row over the atom schema. *)
-                let schema = Cq.schema_of cq relation in
-                let table_schema = shared_schema cq relation in
-                let value_for attr =
-                  match Schema.index_opt attr table_schema with
-                  | Some i -> Tuple.get row i
-                  | None -> (
-                      match
-                        Relation.min_value attr (Database.find relation db)
-                      with
-                      | Some v -> v
-                      | None -> Value.str "any")
+                let extend =
+                  Sens_types.extender cq db relation
+                    (Tsens.shared_schema cq relation)
                 in
                 Some
                   {
                     Sens_types.relation;
-                    schema;
-                    tuple =
-                      Tuple.of_list
-                        (List.map value_for (Schema.attrs schema));
+                    schema = Cq.schema_of cq relation;
+                    tuple = extend row;
                     sensitivity = bound;
                   }))
       None bounds

@@ -27,15 +27,10 @@ let plan_of_ghd ghd =
   left_deep (List.map (fun a -> Leaf a) atoms)
 
 let plan_of_cq ?(plans = []) cq =
-  let component_plan component =
-    match Yannakakis.find_plan plans component with
-    | Some g -> plan_of_ghd g
-    | None -> (
-        match Join_tree.of_cq component with
-        | Some jt -> plan_of_ghd (Ghd.of_join_tree jt)
-        | None -> plan_of_ghd (Ghd.auto component))
-  in
-  left_deep (List.map component_plan (Cq.components cq))
+  left_deep
+    (List.map
+       (fun component -> plan_of_ghd (Yannakakis.plan plans component))
+       (Cq.components cq))
 
 let rec plan_schema cq = function
   | Leaf r -> Cq.schema_of cq r
@@ -87,8 +82,6 @@ let max_frequency_memo cq db =
   in
   mf
 
-let max_frequency cq db plan attrs = max_frequency_memo cq db plan attrs
-
 let relation_sensitivity_with mf cq plan target =
   let rec sens plan =
     match plan with
@@ -111,7 +104,7 @@ let relation_sensitivity cq db plan target =
 
 let local_sensitivity ?plans cq db =
   Obs.span "elastic.analyze" @@ fun () ->
-  let db = Database.of_list (Cq.instance cq db) in
+  let db = Sens_types.instance cq db in
   let plan = plan_of_cq ?plans cq in
   (* One memo shared by every relation: their sensitivities ask for
      many of the same mf bounds. *)

@@ -23,11 +23,9 @@ let representative_domain cq db relation =
         (Cq.atoms_with cq attr)
     in
     match other_homes with
-    | [] -> (
+    | [] ->
         (* Lonely attribute: a single arbitrary value suffices. *)
-        match Relation.min_value attr base with
-        | Some v -> [ v ]
-        | None -> [ Value.str "any" ])
+        [ Sens_types.lonely_value base attr ]
     | first :: rest ->
         List.fold_left
           (fun acc r ->
@@ -63,19 +61,7 @@ let tuple_sensitivity cq db relation tuple =
   Count.max up down
 
 let local_sensitivity ?selection ?(max_candidates = 100_000) cq db =
-  let db =
-    let instance = Cq.instance cq db in
-    let filtered =
-      match selection with
-      | None -> instance
-      | Some pred ->
-          List.map
-            (fun (name, rel) ->
-              (name, Relation.filter (fun s t -> pred name s t) rel))
-            instance
-    in
-    Database.of_list filtered
-  in
+  let db = Sens_types.instance ?selection cq db in
   let admissible relation schema tuple =
     match selection with
     | None -> true

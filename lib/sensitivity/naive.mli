@@ -13,11 +13,11 @@ open Tsens_query
 val representative_domain : Cq.t -> Database.t -> string -> Tuple.t list
 (** Σ^Ai_repr: the cross product over the relation's attributes of, for a
     shared attribute, the intersection of its active domains in the other
-    relations containing it; for a lonely attribute, one arbitrary value
-    (first active value of the relation, or a fresh constant). Sorted. *)
+    relations containing it; for a lonely attribute, the one value
+    {!Sens_types.lonely_value}. Sorted. *)
 
 val local_sensitivity :
-  ?selection:(string -> Schema.t -> Tuple.t -> bool) ->
+  ?selection:Sens_types.selection ->
   ?max_candidates:int ->
   Cq.t ->
   Database.t ->
@@ -27,7 +27,8 @@ val local_sensitivity :
     guard against accidentally exploding a test.
 
     With [selection] (the Section 5.4 extension, mirroring
-    {!Tsens.analyze}): the query runs on the filtered instance, deletions
+    {!Tsens.analyze}): the query runs on
+    {!Sens_types.instance}[ ?selection cq db], deletions
     range over its tuples, and insertion candidates failing the predicate
     are skipped (their sensitivity is 0 by definition). *)
 

@@ -1,20 +1,6 @@
 open Tsens_relational
 open Tsens_query
 
-(* Extrapolates a witness over the atom schema from at most two pinned
-   shared-attribute values (paper: endpoint attributes take any value). *)
-let witness_of db cq relation pinned =
-  let base = Database.find relation db in
-  let value_for attr =
-    match List.assoc_opt attr pinned with
-    | Some v -> v
-    | None -> (
-        match Relation.min_value attr base with
-        | Some v -> v
-        | None -> Value.str "any")
-  in
-  Tuple.of_list (List.map value_for (Schema.attrs (Cq.schema_of cq relation)))
-
 let check_order cq order =
   match Classify.path_order cq with
   | None ->
@@ -37,12 +23,12 @@ let local_sensitivity ?order cq db =
   let order = check_order cq order in
   let names = Array.of_list order in
   let m = Array.length names in
-  let instance = Database.of_list (Cq.instance cq db) in
+  let instance = Sens_types.instance cq db in
   let rel i = Database.find names.(i) instance in
   let schema_of i = Cq.schema_of cq names.(i) in
   if m = 1 then
     (* Single relation: LS is always 1 (paper Section 2.1). *)
-    let w = witness_of instance cq names.(0) [] in
+    let w = Sens_types.extender cq instance names.(0) Schema.empty [||] in
     Sens_types.result_of_per_relation
       [ (names.(0), Some (w, schema_of 0, Count.one)) ]
   else begin
@@ -73,13 +59,13 @@ let local_sensitivity ?order cq db =
       | None -> assert false
     done;
     let heaviest = function
-      | None -> Some (Count.one, []) (* endpoints contribute factor 1 *)
+      | None ->
+          (* endpoints contribute factor 1 *)
+          Some (Count.one, Schema.empty, [||])
       | Some table -> (
           match Relation.max_row table with
           | None -> None (* empty side: every tuple is insensitive *)
-          | Some (row, cnt) ->
-              let attrs = Schema.attrs (Relation.schema table) in
-              Some (cnt, List.combine attrs (Array.to_list row)))
+          | Some (row, cnt) -> Some (cnt, Relation.schema table, row))
     in
     let bests_in_path_order =
       List.init m (fun i ->
@@ -87,8 +73,14 @@ let local_sensitivity ?order cq db =
           let bot = heaviest (if i = m - 1 then None else bots.(i + 1)) in
           let best =
             match (top, bot) with
-            | Some (ct, pt), Some (cb, pb) ->
-                let w = witness_of instance cq names.(i) (pt @ pb) in
+            | Some (ct, st, rt), Some (cb, sb, rb) ->
+                (* The two sides pin disjoint attributes (each variable of
+                   a path occurs in at most two atoms); endpoint
+                   attributes take any value. *)
+                let w =
+                  Sens_types.extender cq instance names.(i)
+                    (Schema.union st sb) (Array.append rt rb)
+                in
                 Some (w, schema_of i, Count.mul ct cb)
             | None, _ | _, None -> None
           in

@@ -1,4 +1,7 @@
 open Tsens_relational
+open Tsens_query
+
+type selection = string -> Schema.t -> Tuple.t -> bool
 
 type witness = {
   relation : string;
@@ -37,6 +40,45 @@ let result_of_per_relation bests =
     match witness with None -> Count.zero | Some w -> w.sensitivity
   in
   { local_sensitivity; witness; per_relation }
+
+let instance ?selection cq db =
+  let atoms = Cq.instance cq db in
+  Database.of_list
+    (match selection with
+    | None -> atoms
+    | Some pred ->
+        List.map
+          (fun (name, rel) ->
+            (name, Relation.filter (fun schema t -> pred name schema t) rel))
+          atoms)
+
+let lonely_value rel attr =
+  Option.value (Relation.min_value attr rel) ~default:(Value.str "any")
+
+let extender cq db relation row_schema =
+  let base = Database.find relation db in
+  let value_of =
+    List.map
+      (fun attr ->
+        match Schema.index_opt attr row_schema with
+        | Some i -> fun row -> Tuple.get row i
+        | None ->
+            let v = lonely_value base attr in
+            fun _ -> v)
+      (Schema.attrs (Cq.schema_of cq relation))
+  in
+  fun row -> Tuple.of_list (List.map (fun f -> f row) value_of)
+
+let heaviest_first r =
+  let rows = Array.copy (Relation.rows r) in
+  Array.sort
+    (fun (t1, c1) (t2, c2) ->
+      match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
+    rows;
+  rows
+
+let unit_relation =
+  Relation.create ~schema:Schema.empty [ (Tuple.of_list [], Count.one) ]
 
 let pp_witness ppf w =
   Format.fprintf ppf "%s%a with sensitivity %a" w.relation Tuple.pp w.tuple

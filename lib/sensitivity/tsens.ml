@@ -1,8 +1,6 @@
 open Tsens_relational
 open Tsens_query
 
-type selection = string -> Schema.t -> Tuple.t -> bool
-
 (* A multiplicity table is either materialized, or — when its parts join
    as a pure cross product (path-query endpoints, star centres) — kept
    factored: the entry at τ is factor × ∏ part counts at τ's projections.
@@ -35,16 +33,12 @@ type table_stat = {
 type analysis = {
   query : Cq.t;
   db : Database.t; (* post-selection instance, atom column order *)
-  selection : selection option;
+  selection : Sens_types.selection option;
   tables : (string * table) list; (* atom order, scaled across components *)
   out_size : Count.t;
   res : Sens_types.result;
   node_stats : node_stat list;
 }
-
-(* The identity of r⋈: one nullary tuple with multiplicity 1. *)
-let unit_relation =
-  Relation.create ~schema:Schema.empty [ (Tuple.of_list [], Count.one) ]
 
 let shared_schema cq relation =
   Schema.restrict
@@ -112,21 +106,13 @@ let table_best table =
    order). Dense tables sort once; factored tables enumerate index
    combinations best-first with a heap, never materializing the cross
    product. *)
-let desc_rows rows =
-  let rows = Array.copy rows in
-  Array.sort
-    (fun (t1, c1) (t2, c2) ->
-      match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
-    rows;
-  rows
-
 let table_rows_desc table =
   match table with
-  | Dense r -> Array.to_seq (desc_rows (Relation.rows r))
+  | Dense r -> Array.to_seq (Sens_types.heaviest_first r)
   | Factored { schema; parts; factor } ->
       if Count.equal factor Count.zero then Seq.empty
       else
-        let part_rows = List.map (fun p -> desc_rows (Relation.rows p)) parts in
+        let part_rows = List.map Sens_types.heaviest_first parts in
         if List.exists (fun a -> Array.length a = 0) part_rows then Seq.empty
         else begin
           let part_rows = Array.of_list part_rows in
@@ -198,7 +184,8 @@ let materialize_table table =
       if Count.equal factor Count.zero then Relation.empty schema
       else
         let joined =
-          Join.join_project_all ~group:schema (unit_relation :: parts)
+          Join.join_project_all ~group:schema
+            (Sens_types.unit_relation :: parts)
         in
         if Count.equal factor Count.one then joined
         else Relation.scale factor joined
@@ -253,7 +240,7 @@ let run_component ?(skip = []) ghd db =
     (fun v ->
       let t0 = Obs.now_seconds () in
       (match Join_tree.parent tree v with
-      | None -> Hashtbl.replace topjoins v unit_relation
+      | None -> Hashtbl.replace topjoins v Sens_types.unit_relation
       | Some p ->
           let top =
             Obs.span "tsens.topjoin" @@ fun () ->
@@ -338,29 +325,6 @@ let run_component ?(skip = []) ghd db =
   (tables, out_size, node_stats)
 
 (* ------------------------------------------------------------------ *)
-(* Witness extrapolation for attributes outside the multiplicity table:
-   lonely attributes take any value (paper Section 5.4) — the smallest
-   one in the relation's column, or ["any"] when it is empty. The
-   extender is built once per table, so the column minima are computed
-   once, not once per row. *)
-
-let extender db cq relation row_schema =
-  let base = Database.find relation db in
-  let value_of =
-    List.map
-      (fun attr ->
-        match Schema.index_opt attr row_schema with
-        | Some i -> fun row -> Tuple.get row i
-        | None ->
-            let v =
-              Option.value (Relation.min_value attr base)
-                ~default:(Value.str "any")
-            in
-            fun _ -> v)
-      (Schema.attrs (Cq.schema_of cq relation))
-  in
-  fun row -> Tuple.of_list (List.map (fun f -> f row) value_of)
-
 (* Best admissible entry of a multiplicity table: the heaviest one whose
    extended tuple passes the selection (rows that fail have true
    sensitivity 0). Without a selection the factored fast path applies;
@@ -372,32 +336,23 @@ let best_of_table selection db cq relation table =
   | None ->
       Option.map
         (fun (row, count) ->
-          (extender db cq relation (table_schema table) row, atom_schema, count))
+          ( Sens_types.extender cq db relation (table_schema table) row,
+            atom_schema,
+            count ))
         (table_best table)
   | Some pred ->
       let materialized = materialize_table table in
-      let extend = extender db cq relation (Relation.schema materialized) in
+      let extend =
+        Sens_types.extender cq db relation (Relation.schema materialized)
+      in
       Array.find_map
         (fun (row, count) ->
           let full = extend row in
           if pred relation atom_schema full then Some (full, atom_schema, count)
           else None)
-        (desc_rows (Relation.rows materialized))
+        (Sens_types.heaviest_first materialized)
 
 (* ------------------------------------------------------------------ *)
-
-let apply_selection selection cq db =
-  let instance = Cq.instance cq db in
-  let filtered =
-    match selection with
-    | None -> instance
-    | Some pred ->
-        List.map
-          (fun (name, rel) ->
-            (name, Relation.filter (fun schema t -> pred name schema t) rel))
-          instance
-  in
-  Database.of_list filtered
 
 let analyze ?selection ?(skip = []) ?(plans = []) cq db =
   List.iter
@@ -407,21 +362,12 @@ let analyze ?selection ?(skip = []) ?(plans = []) cq db =
           (Cq.name cq))
     skip;
   Obs.span "tsens.analyze" @@ fun () ->
-  let db = apply_selection selection cq db in
-  let components = Cq.components cq in
+  let db = Sens_types.instance ?selection cq db in
   let runs =
     List.map
       (fun component ->
-        let plan =
-          match Yannakakis.find_plan plans component with
-          | Some g -> g
-          | None -> (
-              match Join_tree.of_cq component with
-              | Some jt -> Ghd.of_join_tree jt
-              | None -> Ghd.auto component)
-        in
-        (component, run_component ~skip plan db))
-      components
+        (component, run_component ~skip (Yannakakis.plan plans component) db))
+      (Cq.components cq)
   in
   let out_size =
     List.fold_left
@@ -568,7 +514,7 @@ let top_sensitive a relation n =
   if n < 0 then invalid_arg "Tsens.top_sensitive: negative count";
   let table = find_table a relation in
   let atom_schema = Cq.schema_of a.query relation in
-  let extend = extender a.db a.query relation (table_schema table) in
+  let extend = Sens_types.extender a.query a.db relation (table_schema table) in
   let admissible full =
     match a.selection with
     | None -> true
@@ -584,4 +530,4 @@ let instance_relation a relation = Database.find relation a.db
 
 let witness_tuple a relation row =
   let table = find_table a relation in
-  extender a.db a.query relation (table_schema table) row
+  Sens_types.extender a.query a.db relation (table_schema table) row

@@ -15,14 +15,11 @@
     Extensions implemented from Section 5.4: selection predicates (failing
     tuples get sensitivity 0), disconnected queries (per-component DP with
     cross-component output-size scaling), attributes appearing in a single
-    atom (dropped from the DP, witness values extrapolated). *)
+    atom (dropped from the DP, witness values extrapolated by
+    {!Sens_types.extender}). *)
 
 open Tsens_relational
 open Tsens_query
-
-type selection = string -> Schema.t -> Tuple.t -> bool
-(** [selection relation schema tuple] decides whether a tuple of
-    [relation] satisfies the query's selection predicate. *)
 
 type analysis
 (** The full output of the DP, reusable by the DP-mechanism layer. An
@@ -31,15 +28,15 @@ type analysis
     {!multiplicity_table}) without re-running the passes. *)
 
 val analyze :
-  ?selection:selection ->
+  ?selection:Sens_types.selection ->
   ?skip:string list ->
   ?plans:Ghd.t list ->
   Cq.t ->
   Database.t ->
   analysis
-(** Runs the DP. [plans] optionally fixes the decomposition of each
-    connected component (see {!Yannakakis.find_plan}); components without
-    a matching plan use the GYO join tree, or {!Ghd.auto} when cyclic.
+(** Runs the DP on {!Sens_types.instance}[ ?selection cq db]. [plans]
+    optionally fixes the decomposition of each connected component; see
+    {!Yannakakis.plan} for the choice.
 
     [skip] names relations whose multiplicity table should not be
     computed — the paper's optimization for relations whose tuples have
@@ -52,7 +49,7 @@ val analyze :
     query or a skipped relation is not in it. *)
 
 val local_sensitivity :
-  ?selection:selection ->
+  ?selection:Sens_types.selection ->
   ?skip:string list ->
   ?plans:Ghd.t list ->
   Cq.t ->
@@ -128,5 +125,5 @@ val top_sensitive : analysis -> string -> int -> (Tuple.t * Count.t) list
 
 val witness_tuple : analysis -> string -> Tuple.t -> Tuple.t
 (** Extends a multiplicity-table row of the given relation to a full
-    tuple over the atom schema, extrapolating lonely attributes (first
-    active-domain value, or a fresh constant on empty relations). *)
+    tuple over the atom schema, lonely attributes taking
+    {!Sens_types.lonely_value}. *)

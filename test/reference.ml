@@ -59,9 +59,6 @@ let join_project ~group a b =
   let combined, pairs = join_rows a b in
   (group, project_rows group combined pairs)
 
-let count_join a b =
-  List.fold_left (fun acc (_, c) -> Count.add acc c) Count.zero (snd (join_rows a b))
-
 let project target r = (target, project_rows target (Relation.schema r) (rows r))
 
 (* Index scan: the summed counts of the rows of [r] whose [key]

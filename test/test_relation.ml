@@ -358,11 +358,6 @@ let prop_join_project_consistent =
       let naive = Relation.project group (Join.natural_join a b) in
       Relation.equal fused naive)
 
-let prop_count_join_consistent =
-  Tgen.qtest "count_join = |natural_join|" Tgen.joinable_pair_gen
-    Tgen.print_relation_pair (fun (a, b) ->
-      Join.count_join a b = Relation.cardinality (Join.natural_join a b))
-
 let prop_join_commutes_on_counts =
   Tgen.qtest "join cardinality commutes" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
@@ -718,7 +713,6 @@ let () =
           Alcotest.test_case "counts multiply" `Quick test_join_counts_multiply;
           Alcotest.test_case "cross product" `Quick test_join_cross_product;
           prop_join_project_consistent;
-          prop_count_join_consistent;
           prop_join_commutes_on_counts;
           prop_join_project_all_consistent;
           Alcotest.test_case "join_project_all keeps group order" `Quick

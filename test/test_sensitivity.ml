@@ -426,16 +426,19 @@ let prop_tsens_matches_naive =
       tsens.Sens_types.local_sensitivity = naive.Sens_types.local_sensitivity
       && tsens.Sens_types.per_relation = naive.Sens_types.per_relation)
 
+(* The result's witness has, by direct re-evaluation, the sensitivity
+   the result reports as LS (no witness only when LS is 0). *)
+let witness_attains_ls cq db r =
+  match r.Sens_types.witness with
+  | None -> r.Sens_types.local_sensitivity = 0
+  | Some w ->
+      Naive.tuple_sensitivity cq db w.Sens_types.relation w.Sens_types.tuple
+      = r.Sens_types.local_sensitivity
+
 let prop_witness_attains_ls =
   Tgen.qtest ~count:120 "witness sensitivity equals LS" instance_gen
     print_instance (fun (cq, db) ->
-      let r = Tsens.local_sensitivity cq db in
-      match r.Sens_types.witness with
-      | None -> r.Sens_types.local_sensitivity = 0
-      | Some w ->
-          Naive.tuple_sensitivity cq db w.Sens_types.relation
-            w.Sens_types.tuple
-          = r.Sens_types.local_sensitivity)
+      witness_attains_ls cq db (Tsens.local_sensitivity cq db))
 
 let prop_path_matches_tsens =
   Tgen.qtest ~count:120 "Algorithm 1 = Algorithm 2 on paths" instance_gen
@@ -447,7 +450,8 @@ let prop_path_matches_tsens =
           let tsens = Tsens.local_sensitivity cq db in
           path.Sens_types.local_sensitivity
           = tsens.Sens_types.local_sensitivity
-          && path.Sens_types.per_relation = tsens.Sens_types.per_relation)
+          && path.Sens_types.per_relation = tsens.Sens_types.per_relation
+          && witness_attains_ls cq db path)
 
 let prop_elastic_upper_bounds_tsens =
   Tgen.qtest ~count:120 "elastic >= TSens" instance_gen print_instance
@@ -599,13 +603,7 @@ let prop_random_trees_match_naive =
       tsens.Sens_types.per_relation = naive.Sens_types.per_relation
       && tsens.Sens_types.local_sensitivity
          = naive.Sens_types.local_sensitivity
-      &&
-      match tsens.Sens_types.witness with
-      | None -> tsens.Sens_types.local_sensitivity = 0
-      | Some w ->
-          Naive.tuple_sensitivity cq db w.Sens_types.relation
-            w.Sens_types.tuple
-          = tsens.Sens_types.local_sensitivity)
+      && witness_attains_ls cq db tsens)
 
 let prop_random_trees_parser_round_trip =
   Tgen.qtest ~count:150 "datalog rendering parses back"
@@ -692,7 +690,8 @@ let prop_approx_exact_with_large_k =
       else
         let approx = Approx.local_sensitivity ~k:1_000_000 cq db in
         let tsens = Tsens.local_sensitivity cq db in
-        approx.Sens_types.per_relation = tsens.Sens_types.per_relation)
+        approx.Sens_types.per_relation = tsens.Sens_types.per_relation
+        && witness_attains_ls cq db approx)
 
 let test_approx_compresses () =
   let exact, compressed = Approx.intermediate_sizes ~k:1 fig3_cq fig3_db in

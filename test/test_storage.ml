@@ -48,14 +48,6 @@ let prop_join_project_wide_group =
         ~group:(Schema.union (Relation.schema a) (Relation.schema b))
         a b)
 
-let prop_count_join_modes =
-  Tgen.qtest "count_join columnar = row" Tgen.joinable_pair_gen
-    Tgen.print_relation_pair (fun (a, b) ->
-      List.for_all
-        (fun (a, b) ->
-          Count.equal (Join.count_join a b) (Reference.count_join a b))
-        [ (a, b); (a, disjoint) ])
-
 let prop_project_modes =
   Tgen.qtest "project columnar = row" Tgen.relation_gen Tgen.print_relation
     (fun r ->
@@ -313,7 +305,6 @@ let () =
           prop_natural_join_modes;
           prop_join_project_modes;
           prop_join_project_wide_group;
-          prop_count_join_modes;
           prop_project_modes;
         ] );
       ("sensitivity", [ prop_tsens_naive ]);

@@ -196,6 +196,32 @@ let test_facebook_q4_plans_agree () =
   Alcotest.(check (list (pair string int)))
     "per relation" manual.Sens_types.per_relation auto.Sens_types.per_relation
 
+let test_facebook_unmatched_plan_ignored () =
+  (* qo_ghd covers qw's relation names but binds other variables (its R4
+     is (D,A), qw's is (D,E)): it matches no component of qw, so every
+     algorithm plans qw as if no plan were given. *)
+  let cq = Queries.qw and plans = [ Queries.qo_ghd ] in
+  let db = Queries.facebook_database small_fb cq in
+  Alcotest.(check int) "Yannakakis.count" (Yannakakis.count cq db)
+    (Yannakakis.count ~plans cq db);
+  let same name run =
+    Alcotest.(check string) name
+      (Format.asprintf "%a" Sens_types.pp_result (run []))
+      (Format.asprintf "%a" Sens_types.pp_result (run plans))
+  in
+  same "Tsens" (fun plans -> Tsens.local_sensitivity ~plans cq db);
+  same "Elastic" (fun plans -> Elastic.local_sensitivity ~plans cq db);
+  same "Approx" (fun plans -> Approx.local_sensitivity ~k:4 ~plans cq db);
+  let bags plans =
+    List.map (fun s -> s.Tsens.bag)
+      (fst (Tsens.statistics (Tsens.analyze ~plans cq db)))
+  in
+  Alcotest.(check (list string)) "Tsens bags are qw's GYO bags" (bags [])
+    (bags plans);
+  Alcotest.(check (list string)) "one bag per atom, no R1R2/R3R4"
+    (Cq.relation_names cq)
+    (List.sort String.compare (bags plans))
+
 let test_facebook_small_naive_check () =
   (* A genuinely tiny ego-net where the exhaustive oracle is feasible. *)
   let tiny =
@@ -366,6 +392,8 @@ let () =
             test_facebook_qw_path_vs_tsens;
           Alcotest.test_case "q4 plans agree" `Quick
             test_facebook_q4_plans_agree;
+          Alcotest.test_case "unmatched plan ignored" `Quick
+            test_facebook_unmatched_plan_ignored;
           Alcotest.test_case "tiny naive check" `Slow
             test_facebook_small_naive_check;
         ] );
